@@ -6,120 +6,9 @@ are forecast as kernel-weighted sums over the most similar historical
 states.  Kernel bandwidth, neighbourhood size, embedding length, noise
 variance, and (optionally) the mixing weight between two similarity
 measures are all sampled from their joint posterior.
+
+The package exports no names of its own; import the submodules
+(``analogcast.pipeline``, ``analogcast.bayes``, ...) directly.
 """
 
-from .basis import (
-    BasisSet,
-    CoefficientSeries,
-    compute_cca,
-    compute_eof,
-    compute_meof,
-    load_basis,
-    project,
-    reconstruct,
-    save_basis,
-    split_block,
-)
-from .bayes import (
-    AnalogEngine,
-    Chain,
-    ForecastDistribution,
-    ModelState,
-    PriorConfig,
-    SamplerConfig,
-    analog_mean,
-    load_chain,
-    log_likelihood,
-    mwg_step,
-    posterior_predict,
-    run_chain,
-    save_chain,
-    simulate_analog_series,
-)
-from .config import RunConfig
-from .data import (
-    FieldSeries,
-    RegionPartition,
-    SynthSpec,
-    generate_synthetic,
-    load_field,
-    load_regions,
-    make_grid_partition,
-    restrict_to_region,
-    save_field,
-    save_regions,
-    to_anomalies,
-)
-from .embedding import EmbeddingLibrary, TrainingIndex, build_library, build_training_index
-from .errors import AnalogcastError, ConfigError, DataError, NumericError
-from .kernel import WeightVector, kernel_weights, topk_weights
-from .metric import (
-    combined_distance,
-    euclidean_distance,
-    euclidean_distances,
-    procrustes_distance,
-    procrustes_distances,
-)
-from .scores import ScoreCard, ScoreRow, anomaly_correlation, mse, score_forecasts
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalogEngine",
-    "AnalogcastError",
-    "BasisSet",
-    "Chain",
-    "CoefficientSeries",
-    "ConfigError",
-    "DataError",
-    "EmbeddingLibrary",
-    "FieldSeries",
-    "ForecastDistribution",
-    "ModelState",
-    "NumericError",
-    "PriorConfig",
-    "RegionPartition",
-    "RunConfig",
-    "SamplerConfig",
-    "ScoreCard",
-    "ScoreRow",
-    "SynthSpec",
-    "TrainingIndex",
-    "WeightVector",
-    "analog_mean",
-    "anomaly_correlation",
-    "build_library",
-    "build_training_index",
-    "combined_distance",
-    "compute_cca",
-    "compute_eof",
-    "compute_meof",
-    "euclidean_distance",
-    "euclidean_distances",
-    "generate_synthetic",
-    "kernel_weights",
-    "load_basis",
-    "load_chain",
-    "load_field",
-    "load_regions",
-    "log_likelihood",
-    "make_grid_partition",
-    "mse",
-    "mwg_step",
-    "posterior_predict",
-    "procrustes_distance",
-    "procrustes_distances",
-    "project",
-    "reconstruct",
-    "restrict_to_region",
-    "run_chain",
-    "save_basis",
-    "save_chain",
-    "save_field",
-    "save_regions",
-    "score_forecasts",
-    "simulate_analog_series",
-    "split_block",
-    "to_anomalies",
-    "topk_weights",
-]

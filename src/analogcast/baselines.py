@@ -13,7 +13,8 @@ Labels follow the comparison tables produced by the CLI:
 * M6 previous-period persistence relative to the target.
 * M7 persistence of an auxiliary series read at the target period
   (realistic only at very short leads).
-* M8 is intentionally not provided; requesting it raises.
+* M8 (random forest) is not provided; the compare stage warns on stderr
+  when it is requested and scores the other methods.
 
 All row/column indices are 1-based time positions, matching the rest of
 the package.
@@ -243,10 +244,3 @@ def persistence_aux(
         )
     return aux_values[:, test_targets - 1]
 
-
-def random_forest_stub(*_args, **_kwargs):
-    """M8 placeholder: the tree-ensemble comparator is out of scope."""
-    raise ConfigError(
-        "baseline M8 (random forest) is not included in this build; "
-        "choose one of " + ", ".join(sorted(BASELINE_LABELS))
-    )

@@ -13,6 +13,11 @@ gamma a reflected uniform step.
 Likelihood evaluations reduce to one cached (train x candidate) distance
 matrix per q: embeddings at smaller q are column prefixes of the q_max
 library, and distances never depend on theta1 or m.
+
+A ``Chain`` keeps its trace by column, one array per sampled parameter
+over all iterations (gamma only when the state carries one), and
+``save_chain`` writes it as one CSV row per iteration.  ``Chain.retained``
+rebuilds ``ModelState``s where the engine needs them.
 """
 
 from __future__ import annotations
@@ -25,12 +30,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import BasisSet, CoefficientSeries
-from .embedding import EmbeddingLibrary, TrainingIndex, build_library
+from .embedding import EmbeddingLibrary, TrainingIndex
 from .errors import ConfigError, DataError, NumericError
 from .kernel import topk_weights
-from .metric import euclidean_distances, procrustes_distances
-
-_METRICS = ("euclidean", "procrustes", "combined")
+from .metric import METRICS, combined_distance, euclidean_distances, procrustes_distances
 
 
 @dataclass(frozen=True)
@@ -147,8 +150,8 @@ class AnalogEngine:
         scale_norm: str = "centered",
         aux_lib: EmbeddingLibrary | None = None,
     ):
-        if metric not in _METRICS:
-            raise ConfigError(f"unknown metric {metric!r} (use one of {_METRICS})")
+        if metric not in METRICS:
+            raise ConfigError(f"unknown metric {metric!r} (use one of {METRICS})")
         if index.q_max != lib.q or index.lag != lib.lag:
             raise ConfigError("training index was not built from this library")
         if responses.n_time != lib.n_time:
@@ -175,10 +178,8 @@ class AnalogEngine:
         self._excl = index.exclusion_mask()
         self._train_rows = index.training_periods - lib.first_valid
         self._cand_rows = index.candidates - lib.first_valid
-        self._dist_main: dict[int, np.ndarray] = {}
-        self._dist_aux: dict[int, np.ndarray] = {}
-        self._oos_main: dict[tuple[int, int], np.ndarray] = {}
-        self._oos_aux: dict[tuple[int, int], np.ndarray] = {}
+        self._train_cache: dict[int, tuple] = {}
+        self._oos_cache: dict[tuple[int, int], tuple] = {}
 
     def _pairwise(self, lib: EmbeddingLibrary, rows: np.ndarray, q: int) -> np.ndarray:
         targets = lib.stack[rows][:, :, :q]
@@ -187,125 +188,46 @@ class AnalogEngine:
             return euclidean_distances(targets, comps)
         return procrustes_distances(targets, comps, scale_norm=self.scale_norm)
 
-    def _train_dist(self, q: int, gamma: float | None) -> np.ndarray:
-        if q not in self._dist_main:
-            self._dist_main[q] = self._pairwise(self.lib, self._train_rows, q)
-            if self.metric == "combined":
-                self._dist_aux[q] = self._pairwise(self.aux_lib, self._train_rows, q)
-        return self._mix(self._dist_main[q], self._dist_aux.get(q), gamma)
+    def _distances(self, cache: dict, key, rows: np.ndarray, state: ModelState) -> np.ndarray:
+        """Distances from the embeddings at ``rows`` to every candidate at the
+        state's q, computed once per ``key`` and mixed at the state's gamma."""
+        combined = self.metric == "combined"
+        if key not in cache:
+            main = self._pairwise(self.lib, rows, state.q)
+            cache[key] = (main, self._pairwise(self.aux_lib, rows, state.q) if combined else None)
+        main, aux = cache[key]
+        return combined_distance(main, aux, state.gamma) if combined else main
 
-    def _mix(self, d_main, d_aux, gamma):
-        if self.metric != "combined":
-            return d_main
-        if gamma is None:
-            raise ConfigError("combined metric needs a gamma in the state")
-        bad = ~(np.isfinite(d_main) & np.isfinite(d_aux))
-        mixed = gamma * d_main + (1.0 - gamma) * d_aux
-        if bad.any():
-            mixed = np.where(bad, np.inf, mixed)
-        return mixed
+    def _weighted_means(self, dist: np.ndarray, state: ModelState) -> np.ndarray:
+        """(n_rows, p) kernel-weighted candidate responses, one row per
+        distance row."""
+        w, cols = topk_weights(dist, state.theta1, state.m)
+        picked = self.responses.values[:, self._cand_resp_cols[cols]]  # (p, n_rows, m)
+        return np.einsum("nm,pnm->np", w, picked)
 
     def ssr(self, state: ModelState) -> float:
         """Total squared residual of the analog means at this state."""
         self._check_state(state)
-        dist = self._train_dist(state.q, state.gamma)
+        dist = self._distances(self._train_cache, state.q, self._train_rows, state)
         dist = np.where(self._excl, np.inf, dist)
-        w, cols = topk_weights(dist, state.theta1, state.m)
-        picked = self.responses.values[:, self._cand_resp_cols[cols]]  # (p, n_tr, m)
-        means = np.einsum("nm,pnm->np", w, picked)
-        resid = self._targets - means
+        resid = self._targets - self._weighted_means(dist, state)
         return float(np.sum(resid * resid))
-
-    def loglik(self, state: ModelState) -> float:
-        return gaussian_loglik(self.ssr(state), self.n_terms, state.sigma2)
 
     def predictive_mean(self, state: ModelState, t_initial: int) -> np.ndarray:
         """Analog mean forecast from initial condition ``t_initial`` using
         only candidates whose responses fall inside the training window."""
         self._check_state(state)
-        key = (state.q, t_initial)
-        if key not in self._oos_main:
-            row = np.asarray([t_initial - self.lib.first_valid])
-            if row[0] < 0:
-                raise ConfigError(
-                    f"initial condition {t_initial} has no embedding at q_max"
-                )
-            self._oos_main[key] = self._pairwise(self.lib, row, state.q)
-            if self.metric == "combined":
-                self._oos_aux[key] = self._pairwise(self.aux_lib, row, state.q)
-        dist = self._mix(self._oos_main[key], self._oos_aux.get(key), state.gamma)
-        w, cols = topk_weights(dist, state.theta1, state.m)
-        picked = self.responses.values[:, self._cand_resp_cols[cols]]
-        return np.einsum("nm,pnm->np", w, picked)[0]
+        row = np.asarray([t_initial - self.lib.first_valid])
+        if row[0] < 0:
+            raise ConfigError(f"initial condition {t_initial} has no embedding at q_max")
+        dist = self._distances(self._oos_cache, (state.q, t_initial), row, state)
+        return self._weighted_means(dist, state)[0]
 
     def _check_state(self, state: ModelState) -> None:
         if state.q > self.lib.q:
             raise ConfigError(f"state q={state.q} exceeds library q_max={self.lib.q}")
         if self.metric == "combined" and state.gamma is None:
             raise ConfigError("combined metric needs gamma in the state")
-
-
-def analog_mean(
-    state: ModelState,
-    lib: EmbeddingLibrary,
-    responses: CoefficientSeries,
-    t_initial: int,
-    tau: int,
-    candidates: np.ndarray,
-    metric: str = "procrustes",
-    scale_norm: str = "centered",
-    aux_lib: EmbeddingLibrary | None = None,
-) -> np.ndarray:
-    """Kernel-weighted sum of candidate responses for one initial condition.
-
-    Standalone form of the forecast mean: distances from the embedding at
-    ``t_initial`` to each candidate embedding, truncated Gaussian weights,
-    then the weighted sum of the responses tau steps after each candidate.
-    """
-    candidates = np.asarray(candidates, dtype=int)
-    if candidates.size == 0:
-        raise ConfigError("empty candidate set")
-    if candidates.max() + tau > responses.n_time:
-        raise ConfigError("candidate response runs past the series end")
-    q = state.q
-    if q > lib.q:
-        raise ConfigError(f"state q={q} exceeds library q={lib.q}")
-    tgt = lib.matrix_at(t_initial)[None, :, :q]
-    comps = np.stack([lib.matrix_at(t)[:, :q] for t in candidates])
-    if metric == "euclidean":
-        dist = euclidean_distances(tgt, comps)
-    elif metric == "procrustes":
-        dist = procrustes_distances(tgt, comps, scale_norm=scale_norm)
-    elif metric == "combined":
-        if aux_lib is None or state.gamma is None:
-            raise ConfigError("combined metric needs aux_lib and state.gamma")
-        d_b = procrustes_distances(tgt, comps, scale_norm=scale_norm)
-        tgt_a = aux_lib.matrix_at(t_initial)[None, :, :q]
-        comps_a = np.stack([aux_lib.matrix_at(t)[:, :q] for t in candidates])
-        d_a = procrustes_distances(tgt_a, comps_a, scale_norm=scale_norm)
-        bad = ~(np.isfinite(d_b) & np.isfinite(d_a))
-        dist = state.gamma * d_b + (1.0 - state.gamma) * d_a
-        if bad.any():
-            dist = np.where(bad, np.inf, dist)
-    else:
-        raise ConfigError(f"unknown metric {metric!r}")
-    w, cols = topk_weights(dist, state.theta1, state.m)
-    picked = responses.values[:, candidates[cols[0]] + tau - 1]  # (p, m_eff)
-    return picked @ w[0]
-
-
-def log_likelihood(
-    state: ModelState,
-    lib: EmbeddingLibrary,
-    responses: CoefficientSeries,
-    index: TrainingIndex,
-    metric: str = "procrustes",
-    scale_norm: str = "centered",
-    aux_lib: EmbeddingLibrary | None = None,
-) -> float:
-    """Gaussian log likelihood over all training periods at one state."""
-    eng = AnalogEngine(lib, responses, index, metric, scale_norm, aux_lib)
-    return eng.loglik(state)
 
 
 # --- Metropolis-within-Gibbs sub-steps -------------------------------------
@@ -352,6 +274,8 @@ def update_theta1(state, ssr, rng, priors, ssr_fn, n_terms, prop_sd=1.2):
 
 
 def _reflect_int(x: int, lo: int, hi: int) -> int:
+    if lo == hi:
+        return lo  # a one-value support has nowhere to step to
     if x < lo:
         return 2 * lo - x
     if x > hi:
@@ -449,42 +373,38 @@ def log_posterior(state: ModelState, ssr: float, n_terms: int, priors: PriorConf
 
 @dataclass
 class Chain:
-    """Full sampler trace; ``retained()`` drops the burn-in prefix."""
+    """Full sampler trace stored by column.
 
-    states: list[ModelState]
+    ``draws`` maps theta1, m, q, sigma2 (and gamma when the state carries
+    one), in ``ModelState`` field order, to arrays over all iterations;
+    ``arrays()`` and ``retained()`` drop the burn-in prefix.
+    """
+
+    draws: dict[str, np.ndarray]
     log_posts: np.ndarray
     burn_in: int
     accept_rates: dict = field(default_factory=dict)
     seed: int | None = None
 
     def __post_init__(self):
-        if self.burn_in < 0 or self.burn_in >= len(self.states):
-            raise ConfigError(
-                f"burn_in={self.burn_in} must lie in [0, iterations={len(self.states)})"
-            )
+        n = len(self.log_posts)
+        if self.burn_in < 0 or self.burn_in >= n:
+            raise ConfigError(f"burn_in={self.burn_in} must lie in [0, iterations={n})")
 
-    def retained(self) -> list[ModelState]:
-        return self.states[self.burn_in :]
+    def retained(self, thin: int = 1) -> list[ModelState]:
+        """Every ``thin``-th state after the burn-in, as ``ModelState``s."""
+        cols = [v[self.burn_in :: thin].tolist() for v in self.draws.values()]
+        return [ModelState(*values) for values in zip(*cols)]
 
     def arrays(self) -> dict[str, np.ndarray]:
-        r = self.retained()
-        out = {
-            "theta1": np.asarray([s.theta1 for s in r]),
-            "m": np.asarray([s.m for s in r]),
-            "q": np.asarray([s.q for s in r]),
-            "sigma2": np.asarray([s.sigma2 for s in r]),
-        }
-        if r and r[0].gamma is not None:
-            out["gamma"] = np.asarray([s.gamma for s in r])
-        return out
+        return {k: v[self.burn_in :] for k, v in self.draws.items()}
 
     def mode_mq(self) -> tuple[int, int]:
         """Most frequent retained (m, q) pair; ties go to the smallest pair."""
-        counts: dict[tuple[int, int], int] = {}
-        for s in self.retained():
-            counts[(s.m, s.q)] = counts.get((s.m, s.q), 0) + 1
-        best = max(sorted(counts), key=lambda k: counts[k])
-        return best
+        r = self.arrays()
+        pairs, counts = np.unique(np.column_stack([r["m"], r["q"]]), axis=0, return_counts=True)
+        m, q = pairs[np.argmax(counts)]
+        return int(m), int(q)
 
 
 def default_init(priors: PriorConfig) -> ModelState:
@@ -538,17 +458,19 @@ def run_chain(
     if priors.with_gamma and state.gamma is None:
         state = replace(state, gamma=0.5)
     ssr = ssr_fn(state)
-    states: list[ModelState] = []
+    names = ("theta1", "m", "q", "sigma2") + (() if state.gamma is None else ("gamma",))
+    draws = {k: np.empty(iterations, dtype=int if k in ("m", "q") else float) for k in names}
     log_posts = np.empty(iterations)
     counts: dict[str, int] = {}
     for it in range(iterations):
         state, ssr, acc = mwg_step(state, rng, priors, ssr_fn, n_terms, config, ssr)
         for k, ok in acc.items():
             counts[k] = counts.get(k, 0) + int(ok)
-        states.append(state)
+        for k, col in draws.items():
+            col[it] = getattr(state, k)
         log_posts[it] = log_posterior(state, ssr, n_terms, priors)
     rates = {k: v / iterations for k, v in sorted(counts.items())}
-    return Chain(states=states, log_posts=log_posts, burn_in=burn_in, accept_rates=rates, seed=seed)
+    return Chain(draws=draws, log_posts=log_posts, burn_in=burn_in, accept_rates=rates, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -595,7 +517,7 @@ def posterior_predict(
         raise ConfigError(f"thin must be >= 1, got {thin}")
     if engine is None:
         engine = AnalogEngine(lib, responses, index, metric, scale_norm, aux_lib)
-    kept = chain.retained()[::thin]
+    kept = chain.retained(thin)
     if not kept:
         raise ConfigError("no retained states to predict from")
     if n_draws is None:
@@ -628,75 +550,25 @@ def posterior_predict(
     )
 
 
-def simulate_analog_series(
-    forcing: CoefficientSeries,
-    lag: int,
-    q: int,
-    m: int,
-    theta1: float,
-    sigma2: float,
-    tau: int,
-    p_alpha: int,
-    seed: int = 0,
-    warm: int | None = None,
-    scale_norm: str = "centered",
-) -> CoefficientSeries:
-    """Generate response coefficients that follow the analog model exactly.
-
-    Walking forward in time, the response tau steps after t is the
-    kernel-weighted sum of earlier responses (candidates are all previous
-    embeddable periods) plus N(0, sigma2) noise.  The first few periods,
-    where fewer than ``warm`` candidates exist, are seeded with unit
-    Gaussian draws.  Useful for parameter-recovery checks.
-    """
-    if p_alpha < 1:
-        raise ConfigError("p_alpha must be >= 1")
-    rng = np.random.default_rng(seed)
-    lib = build_library(forcing, lag, q)
-    start = lib.first_valid
-    T = forcing.n_time
-    if warm is None:
-        warm = max(m, 8)
-    alpha = np.zeros((p_alpha, T))
-    first_model_t = start + warm  # initial conditions before this are warm-up
-    alpha[:, : min(first_model_t + tau - 1, T)] = rng.normal(
-        size=(p_alpha, min(first_model_t + tau - 1, T))
-    )
-    sd = math.sqrt(sigma2)
-    for t in range(first_model_t, T - tau + 1):
-        cands = np.arange(start, t)
-        tgt = lib.matrix_at(t)[None]
-        comps = lib.stack[cands - start]
-        dist = procrustes_distances(tgt, comps, scale_norm=scale_norm)
-        w, cols = topk_weights(dist, theta1, m)
-        picked = alpha[:, cands[cols[0]] + tau - 1]
-        alpha[:, t + tau - 1] = picked @ w[0] + sd * rng.standard_normal(p_alpha)
-    ident = BasisSet(
-        matrix=np.eye(p_alpha),
-        coords=np.column_stack([np.arange(p_alpha, dtype=float), np.zeros(p_alpha)]),
-        kind="eof",
-    )
-    return CoefficientSeries(values=alpha, times=forcing.times, basis=ident)
+_CHAIN_HEADER = ["iter", "theta1", "m", "q", "sigma2", "gamma", "log_post"]
 
 
 def save_chain(chain: Chain, path: str, extra_meta: dict | None = None) -> None:
     """Write the full trace as CSV plus a JSON sidecar with burn-in,
-    acceptance rates, seed, and any caller metadata (e.g. a config hash)."""
+    acceptance rates, seed, and any caller metadata (e.g. a config hash).
+    The gamma column is empty when the chain carries no gamma."""
+    d = chain.draws
+    gammas = d["gamma"].tolist() if "gamma" in d else [None] * len(chain.log_posts)
+    rows = zip(
+        d["theta1"].tolist(), d["m"].tolist(), d["q"].tolist(), d["sigma2"].tolist(),
+        gammas, chain.log_posts.tolist(),
+    )
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["iter", "theta1", "m", "q", "sigma2", "gamma", "log_post"])
-        for i, (s, lp) in enumerate(zip(chain.states, chain.log_posts), start=1):
-            w.writerow(
-                [
-                    i,
-                    repr(float(s.theta1)),
-                    s.m,
-                    s.q,
-                    repr(float(s.sigma2)),
-                    "" if s.gamma is None else repr(float(s.gamma)),
-                    repr(float(lp)),
-                ]
-            )
+        w.writerow(_CHAIN_HEADER)
+        for i, (theta1, m, q, sigma2, gamma, lp) in enumerate(rows, start=1):
+            g = "" if gamma is None else repr(gamma)
+            w.writerow([i, repr(theta1), m, q, repr(sigma2), g, repr(lp)])
     meta = {
         "burn_in": chain.burn_in,
         "accept_rates": chain.accept_rates,
@@ -716,8 +588,7 @@ def load_chain(path: str) -> tuple[Chain, dict]:
             meta = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"{path}: missing sidecar {path}.meta.json") from None
-    states: list[ModelState] = []
-    log_posts: list[float] = []
+    cols: dict[str, list] = {k: [] for k in _CHAIN_HEADER[1:]}
     try:
         fh = open(path, newline="")
     except FileNotFoundError:
@@ -725,27 +596,34 @@ def load_chain(path: str) -> tuple[Chain, dict]:
     with fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if header[:7] != ["iter", "theta1", "m", "q", "sigma2", "gamma", "log_post"]:
+        if header[:7] != _CHAIN_HEADER:
             raise DataError(f"{path}:1: unexpected chain header")
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                states.append(
-                    ModelState(
-                        theta1=float(row[1]),
-                        m=int(row[2]),
-                        q=int(row[3]),
-                        sigma2=float(row[4]),
-                        gamma=None if row[5] == "" else float(row[5]),
-                    )
+                values = (
+                    float(row[1]), int(row[2]), int(row[3]), float(row[4]),
+                    float(row[5]) if row[5] else math.nan, float(row[6]),
                 )
-                log_posts.append(float(row[6]))
-            except ValueError:
+            except (ValueError, IndexError):
                 raise DataError(f"{path}:{line_no}: cannot parse chain row") from None
+            for col, v in zip(cols.values(), values):
+                col.append(v)
+    log_posts = np.asarray(cols.pop("log_post"))
+    draws = {k: np.asarray(v, dtype=int if k in ("m", "q") else float) for k, v in cols.items()}
+    if np.isnan(draws["gamma"]).all():
+        del draws["gamma"]
+    g = draws.get("gamma", np.zeros(0))
+    if not (
+        (draws["theta1"] > 0).all() and (draws["sigma2"] >= 0).all()
+        and (draws["m"] >= 1).all() and (draws["q"] >= 1).all()
+        and ((g >= 0) & (g <= 1)).all()
+    ):
+        raise DataError(f"{path}: chain values lie outside the parameter space")
     chain = Chain(
-        states=states,
-        log_posts=np.asarray(log_posts),
+        draws=draws,
+        log_posts=log_posts,
         burn_in=int(meta["burn_in"]),
         accept_rates=meta.get("accept_rates", {}),
         seed=meta.get("seed"),

@@ -14,11 +14,11 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .baselines import BASELINE_LABELS
 from .errors import ConfigError
+from .metric import METRICS
 
 _VARIANTS = ("BA1", "BA2", "BA3", "BA4")
-_METRICS = ("euclidean", "procrustes", "combined")
-_DEFAULT_BASELINES = ["M1", "M2", "M3", "M4", "M5", "M6", "M7"]
 
 # Keys that do not affect computed numbers.
 _NON_SEMANTIC = {"out_dir", "jobs", "save_draws"}
@@ -82,7 +82,7 @@ class RunConfig:
     # Metric and scoring options.
     scale_norm: str = "centered"
     ac_corrected: bool = True
-    baselines: list[str] = field(default_factory=lambda: list(_DEFAULT_BASELINES))
+    baselines: list[str] = field(default_factory=lambda: list(BASELINE_LABELS))
 
     # Synthetic generator.
     synth_n_loc_forcing: int = 36
@@ -101,8 +101,8 @@ class RunConfig:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ConfigError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
-        if self.metric is not None and self.metric not in _METRICS:
-            raise ConfigError(f"metric must be one of {_METRICS}, got {self.metric!r}")
+        if self.metric is not None and self.metric not in METRICS:
+            raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.file_format not in ("wide-csv", "long-csv"):
             raise ConfigError(f"file_format must be wide-csv or long-csv")
         if not self.leads or any(int(t) < 1 for t in self.leads):
@@ -123,7 +123,7 @@ class RunConfig:
                 raise ConfigError(f"{key} must be >= 1")
         if self.lag < 0:
             raise ConfigError(f"lag must be >= 0, got {self.lag}")
-        unknown = [b for b in self.baselines if b not in _DEFAULT_BASELINES + ["M8"]]
+        unknown = [b for b in self.baselines if b not in BASELINE_LABELS and b != "M8"]
         if unknown:
             raise ConfigError(f"unknown baselines {unknown}")
 

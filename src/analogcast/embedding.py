@@ -44,18 +44,6 @@ class EmbeddingLibrary:
             )
         return self.stack[t - self.first_valid]
 
-    def truncated(self, q: int) -> "EmbeddingLibrary":
-        """View with only the first q delay columns; positions are kept as
-        built, so the validity range of the larger q still applies."""
-        if q < 1 or q > self.q:
-            raise ConfigError(f"cannot truncate to q={q} from q={self.q}")
-        return EmbeddingLibrary(
-            stack=self.stack[:, :, :q],
-            positions=self.positions,
-            lag=self.lag,
-            n_time=self.n_time,
-        )
-
 
 def build_library(c: CoefficientSeries, lag: int, q: int) -> EmbeddingLibrary:
     """Stack every valid (p, q) delay embedding of the series.
@@ -111,11 +99,6 @@ class TrainingIndex:
     def n_train(self) -> int:
         return self.training_periods.size
 
-    def candidates_for(self, t: int) -> np.ndarray:
-        """Candidate pool for initial condition t (training exclusions applied)."""
-        keep = np.abs(self.candidates - t) > self.exclusion_radius
-        return self.candidates[keep]
-
     def exclusion_mask(self) -> np.ndarray:
         """(n_train, n_cand) boolean array, True where a candidate is excluded."""
         diff = np.abs(self.candidates[None, :] - self.training_periods[:, None])
@@ -151,18 +134,9 @@ def build_training_index(
         raise ConfigError(
             f"no candidates: t_end - tau = {cand_hi} is below {base_lo}"
         )
-    candidates = np.arange(base_lo, cand_hi + 1)
-    periods = np.arange(t_start, t_end + 1)
-    n_excluded = np.sum(
-        np.abs(candidates[None, :] - periods[:, None]) <= exclusion_radius, axis=1
-    )
-    if int((candidates.size - n_excluded).min()) < 1:
-        raise ConfigError(
-            "exclusion radius leaves an empty candidate pool for some training period"
-        )
-    return TrainingIndex(
-        training_periods=periods,
-        candidates=candidates,
+    index = TrainingIndex(
+        training_periods=np.arange(t_start, t_end + 1),
+        candidates=np.arange(base_lo, cand_hi + 1),
         t_start=t_start,
         t_end=t_end,
         tau=tau,
@@ -170,3 +144,8 @@ def build_training_index(
         q_max=lib.q,
         exclusion_radius=exclusion_radius,
     )
+    if index.exclusion_mask().all(axis=1).any():
+        raise ConfigError(
+            "exclusion radius leaves an empty candidate pool for some training period"
+        )
+    return index

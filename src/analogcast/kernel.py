@@ -10,23 +10,9 @@ from underflowing every weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, NumericError
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Normalized analog weights aligned with ``candidate_ids``."""
-
-    candidate_ids: np.ndarray  # (n,) as passed in
-    weights: np.ndarray  # (n,) nonnegative, sums to 1
-    support_ids: np.ndarray  # ids of the m (or fewer) nearest candidates
-    theta1: float
-    h_max: float  # squared distance of the farthest supported candidate
-    pool_short: bool  # True when fewer than m candidates were available
 
 
 def topk_weights(
@@ -57,37 +43,3 @@ def topk_weights(
     w /= w.sum(axis=1, keepdims=True)
     return w, cols
 
-
-def kernel_weights(
-    candidate_ids: np.ndarray, distances: np.ndarray, theta1: float, m: int
-) -> WeightVector:
-    """Weights over one candidate pool, in the pool's given order.
-
-    Exactly min(m, pool) candidates get nonzero weight; everything beyond
-    the m-th nearest squared distance is truncated to zero.
-    """
-    candidate_ids = np.asarray(candidate_ids)
-    distances = np.asarray(distances, dtype=float)
-    if candidate_ids.shape != distances.shape or distances.ndim != 1:
-        raise ConfigError("candidate_ids and distances must be equal-length 1-d arrays")
-    if distances.size == 0:
-        raise ConfigError("empty candidate pool")
-    # Primary key distance, secondary key candidate id for deterministic ties.
-    order = np.lexsort((candidate_ids, distances))
-    inv = np.empty_like(order)
-    inv[order] = np.arange(order.size)
-    w_sorted, _ = topk_weights(distances[order][None, :], theta1, m)
-    m_eff = w_sorted.shape[1]
-    full = np.zeros(distances.size)
-    full[: m_eff] = w_sorted[0]
-    full = full[inv]
-    support = candidate_ids[order[:m_eff]]
-    d2_support = distances[order[:m_eff]] ** 2
-    return WeightVector(
-        candidate_ids=candidate_ids,
-        weights=full,
-        support_ids=support,
-        theta1=float(theta1),
-        h_max=float(d2_support[np.isfinite(d2_support)].max()),
-        pool_short=m > distances.size,
-    )

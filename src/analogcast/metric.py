@@ -25,6 +25,8 @@ from .errors import ConfigError, NumericError
 
 _DEGENERATE_TOL = 1e-300
 
+METRICS = ("euclidean", "procrustes", "combined")
+
 
 def _center_cols(b: np.ndarray) -> np.ndarray:
     return b - b.mean(axis=-2, keepdims=True)
@@ -38,15 +40,6 @@ class ProcrustesFit:
     scale: float  # positive rescaling applied to the candidate
     raw_distance: float  # ||T~ - scale * C~ rotation||_F
     distance: float  # raw_distance / ||C~||_F
-
-
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain Frobenius distance between two equally shaped matrices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ConfigError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 def euclidean_distances(targets: np.ndarray, comparisons: np.ndarray) -> np.ndarray:
@@ -149,7 +142,12 @@ def procrustes_distances(
 def combined_distance(
     d_forcing: np.ndarray, d_response: np.ndarray, gamma: float
 ) -> np.ndarray:
-    """Convex mix gamma * d_forcing + (1 - gamma) * d_response."""
+    """Convex mix gamma * d_forcing + (1 - gamma) * d_response.
+
+    A pair that is infinitely distant on either side (a degenerate
+    Procrustes candidate) stays infinitely distant at every gamma,
+    including the endpoints where 0 * inf would otherwise give NaN.
+    """
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"gamma must lie in [0, 1], got {gamma}")
     d_forcing = np.asarray(d_forcing, dtype=float)
@@ -160,4 +158,6 @@ def combined_distance(
         )
     if (d_forcing < 0).any() or (d_response < 0).any():
         raise ConfigError("distances must be nonnegative")
-    return gamma * d_forcing + (1.0 - gamma) * d_response
+    with np.errstate(invalid="ignore"):
+        mixed = gamma * d_forcing + (1.0 - gamma) * d_response
+    return np.where(np.isfinite(d_forcing) & np.isfinite(d_response), mixed, np.inf)

@@ -272,7 +272,6 @@ def _load_bases(cfg, region, lead) -> tuple[BasisSet, BasisSet]:
 class RegionLeadSetup:
     """Everything the sampler and forecaster need for one (region, lead)."""
 
-    engine_args: tuple
     lib: object
     alpha: CoefficientSeries
     index: object
@@ -281,7 +280,6 @@ class RegionLeadSetup:
     metric: str
     aux_lib: object
     phi: BasisSet
-    response_region: FieldSeries
 
 
 def build_setup(cfg: RunConfig, prep: Prepared, region: int, lead: int) -> RegionLeadSetup:
@@ -319,7 +317,6 @@ def build_setup(cfg: RunConfig, prep: Prepared, region: int, lead: int) -> Regio
         mq_proposal=cfg.mq_proposal,
     )
     return RegionLeadSetup(
-        engine_args=(lib, alpha, index, metric, cfg.scale_norm, aux_lib),
         lib=lib,
         alpha=alpha,
         index=index,
@@ -328,7 +325,6 @@ def build_setup(cfg: RunConfig, prep: Prepared, region: int, lead: int) -> Regio
         metric=metric,
         aux_lib=aux_lib,
         phi=phi,
-        response_region=resp,
     )
 
 
@@ -394,7 +390,9 @@ def _forecast_one(args: tuple) -> str:
             f"chain for region {region} lead {lead} was trained under a different "
             "config (hash mismatch); re-run train"
         )
-    engine = AnalogEngine(*setup.engine_args)
+    engine = AnalogEngine(
+        setup.lib, setup.alpha, setup.index, setup.metric, cfg.scale_norm, setup.aux_lib
+    )
     times = prep.response.times
     fds = []
     for ic in prep.holdout_ics:

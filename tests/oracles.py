@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from analogcast.basis import BasisSet, CoefficientSeries
+from analogcast.metric import euclidean_distances, procrustes_distances
 
 
 def identity_series(values: np.ndarray, times=None) -> CoefficientSeries:
@@ -43,6 +44,37 @@ def weight_oracle(candidate_ids, distances, theta1: float, m: int):
     total = sum(raw.values())
     weights = [raw.get(cid, 0.0) / total for cid in candidate_ids]
     return np.asarray(weights), [cid for _, cid in support]
+
+
+def analog_mean(state, lib, responses, t_initial: int, tau: int, candidates,
+                metric: str = "procrustes", aux_lib=None) -> np.ndarray:
+    """Forecast mean for one initial condition, written out candidate by
+    candidate: distances from the embedding at ``t_initial`` to each
+    candidate embedding at the state's q, a scalar gamma mix for the
+    combined metric (infinite on either side stays infinite), scalar
+    kernel weights, then the weighted sum of the responses tau steps
+    after each candidate."""
+    q = state.q
+    candidates = [int(t) for t in candidates]
+
+    def dists(library, fn):
+        tgt = library.matrix_at(t_initial)[None, :, :q]
+        comps = np.stack([library.matrix_at(t)[:, :q] for t in candidates])
+        return [float(d) for d in fn(tgt, comps)[0]]
+
+    dist = dists(lib, euclidean_distances if metric == "euclidean" else procrustes_distances)
+    if metric == "combined":
+        g = state.gamma
+        dist = [
+            g * d_b + (1.0 - g) * d_a if math.isfinite(d_b) and math.isfinite(d_a) else math.inf
+            for d_b, d_a in zip(dist, dists(aux_lib, procrustes_distances))
+        ]
+    weights, _ = weight_oracle(candidates, dist, state.theta1, state.m)
+    mean = np.zeros(responses.p)
+    for w, t in zip(weights, candidates):
+        if w > 0.0:
+            mean += w * responses.values[:, t + tau - 1]
+    return mean
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 60):

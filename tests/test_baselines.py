@@ -11,7 +11,6 @@ from analogcast.baselines import (
     fit_predict_linear,
     persistence_aux,
     persistence_previous,
-    random_forest_stub,
 )
 from analogcast.errors import ConfigError, DataError
 from oracles import normal_equations_fit
@@ -187,9 +186,7 @@ def test_baselines_never_read_outside_their_windows():
     assert np.array_equal(climatology(vp2, window, 2), clim)
 
 
-def test_stub_and_validation_errors():
-    with pytest.raises(ConfigError, match="M8"):
-        random_forest_stub()
+def test_labels_and_validation_errors():
     assert set(BASELINE_LABELS) == {f"M{i}" for i in range(1, 8)}
     rng = np.random.default_rng(9)
     x = rng.normal(size=(2, 30))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from analogcast.bayes import (
     ModelState,
     PriorConfig,
     SamplerConfig,
-    analog_mean,
     draw_sigma2,
     gaussian_loglik,
     ig_logpdf,
@@ -20,13 +20,11 @@ from analogcast.bayes import (
     posterior_predict,
     run_chain,
     save_chain,
-    simulate_analog_series,
     update_theta1,
 )
 from analogcast.embedding import build_library, build_training_index
 from analogcast.errors import ConfigError, DataError, NumericError
-from analogcast.metric import procrustes_distance
-from oracles import identity_series, weight_oracle
+from oracles import analog_mean, identity_series
 
 
 def _setup(seed=0, T=60, p_x=2, p_y=3, lag=1, q_max=4, tau=2):
@@ -120,64 +118,64 @@ def test_sigma2_gibbs_matches_analytic_conditional():
     assert abs(np.mean(draws) - want_mean) < 0.02
 
 
-def test_analog_mean_matches_hand_oracle():
-    rng = np.random.default_rng(4)
-    forcing = identity_series(rng.normal(size=(2, 30)))
-    responses = identity_series(rng.normal(size=(3, 30)))
-    lib = build_library(forcing, lag=1, q=3)
-    state = ModelState(theta1=0.7, m=3, q=2, sigma2=1.0)
-    cands = np.array([5, 8, 11, 14, 17])
-    tau, t0 = 2, 25
-    got = analog_mean(state, lib, responses, t0, tau, cands)
-    tgt = lib.matrix_at(t0)[:, :2]
-    dists = [
-        procrustes_distance(tgt, lib.matrix_at(int(t))[:, :2]).distance
-        for t in cands
-    ]
-    w, _ = weight_oracle(cands, dists, 0.7, 3)
-    want = sum(w[i] * responses.values[:, cands[i] + tau - 1] for i in range(5))
-    assert np.allclose(got, want, atol=1e-12)
-    # Candidate order cannot matter.
-    perm = np.array([17, 5, 14, 8, 11])
-    assert np.allclose(analog_mean(state, lib, responses, t0, tau, perm), got, atol=1e-12)
-    with pytest.raises(ConfigError):
-        analog_mean(state, lib, responses, t0, tau, np.array([], dtype=int))
-    with pytest.raises(ConfigError):
-        analog_mean(state, lib, responses, t0, tau, np.array([29]))  # runs past end
+# (metric, gamma): every metric the engine supports, with the combined
+# mix at both endpoints, where 0 * inf would give NaN, and inside.
+_METRIC_CASES = [
+    ("procrustes", None),
+    ("euclidean", None),
+    ("combined", 0.0),
+    ("combined", 0.4),
+    ("combined", 1.0),
+]
+
+
+def _engine(metric, seed, T):
+    """Engine on random data with one constant forcing stretch, so the
+    embedding at position 14 (and its column prefixes near it) is
+    degenerate and Procrustes puts it at infinite distance."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(2, T))
+    values[:, 10:14] = 0.7
+    forcing = identity_series(values)
+    responses = identity_series(rng.normal(size=(3, T)))
+    lib = build_library(forcing, 1, 4)
+    index = build_training_index(lib, lib.first_valid, T - 2, 2)
+    aux_lib = build_library(responses, 1, 4) if metric == "combined" else None
+    return AnalogEngine(lib, responses, index, metric, aux_lib=aux_lib), lib, responses, index
 
 
 def test_engine_ssr_decomposes_over_training_periods():
-    _, responses, lib, index = _setup(seed=5, T=40)
-    eng = AnalogEngine(lib, responses, index)
-    for state in (
-        ModelState(theta1=0.5, m=4, q=4, sigma2=1.0),
-        ModelState(theta1=2.0, m=7, q=3, sigma2=1.0),  # q below library q_max
-    ):
-        total = 0.0
-        for t in index.training_periods:
-            mean = analog_mean(
-                state, lib, responses, int(t), index.tau, index.candidates_for(int(t))
-            )
-            resid = responses.values[:, t + index.tau - 1] - mean
-            total += float(resid @ resid)
-        assert np.isclose(eng.ssr(state), total, rtol=1e-10)
-    assert eng.n_terms == index.n_train * responses.p
-    assert np.isclose(
-        eng.loglik(ModelState(theta1=0.5, m=4, q=4, sigma2=0.3)),
-        gaussian_loglik(eng.ssr(ModelState(theta1=0.5, m=4, q=4, sigma2=0.3)), eng.n_terms, 0.3),
-        rtol=1e-12,
-    )
+    for metric, gamma in _METRIC_CASES:
+        eng, lib, responses, index = _engine(metric, seed=5, T=40)
+        mask = index.exclusion_mask()
+        for state in (
+            ModelState(theta1=0.5, m=4, q=4, sigma2=1.0, gamma=gamma),
+            ModelState(theta1=2.0, m=7, q=3, sigma2=1.0, gamma=gamma),  # q below q_max
+        ):
+            total = 0.0
+            for i, t in enumerate(index.training_periods):
+                mean = analog_mean(
+                    state, lib, responses, int(t), index.tau, index.candidates[~mask[i]],
+                    metric, eng.aux_lib,
+                )
+                resid = responses.values[:, t + index.tau - 1] - mean
+                total += float(resid @ resid)
+            assert np.isclose(eng.ssr(state), total, rtol=1e-10), (metric, gamma)
+        assert eng.n_terms == index.n_train * responses.p
 
 
 def test_predictive_mean_uses_full_candidate_pool():
-    _, responses, lib, index = _setup(seed=6, T=50)
-    eng = AnalogEngine(lib, responses, index)
-    state = ModelState(theta1=0.9, m=5, q=3, sigma2=1.0)
-    t_init = index.t_end  # furthest embeddable initial condition
-    want = analog_mean(state, lib, responses, t_init, index.tau, index.candidates)
-    assert np.allclose(eng.predictive_mean(state, t_init), want, atol=1e-12)
-    with pytest.raises(ConfigError):
-        eng.predictive_mean(ModelState(theta1=0.9, m=5, q=9, sigma2=1.0), t_init)
+    for metric, gamma in _METRIC_CASES:
+        eng, lib, responses, index = _engine(metric, seed=6, T=50)
+        state = ModelState(theta1=0.9, m=5, q=3, sigma2=1.0, gamma=gamma)
+        for t_init in (index.t_end, 14):  # furthest initial condition; the degenerate one
+            want = analog_mean(
+                state, lib, responses, t_init, index.tau, index.candidates, metric, eng.aux_lib
+            )
+            got = eng.predictive_mean(state, t_init)
+            assert np.allclose(got, want, atol=1e-12), (metric, gamma, t_init)
+        with pytest.raises(ConfigError):
+            eng.predictive_mean(replace(state, q=9), index.t_end)
 
 
 def test_run_chain_mechanics_and_reproducibility():
@@ -186,9 +184,9 @@ def test_run_chain_mechanics_and_reproducibility():
     a = run_chain(lib, responses, index, priors, iterations=30, burn_in=10, seed=3)
     b = run_chain(lib, responses, index, priors, iterations=30, burn_in=10, seed=3)
     c = run_chain(lib, responses, index, priors, iterations=30, burn_in=10, seed=4)
-    assert len(a.states) == 30 and len(a.retained()) == 20
-    assert a.states == b.states
-    assert a.states != c.states
+    assert a.log_posts.size == 30 and len(a.retained()) == 20
+    assert all(np.array_equal(a.draws[k], b.draws[k]) for k in a.draws)
+    assert not all(np.array_equal(a.draws[k], c.draws[k]) for k in a.draws)
     assert np.array_equal(a.log_posts, b.log_posts)
     assert set(a.accept_rates) == {"sigma2", "theta1", "m", "q"}
     assert a.accept_rates["sigma2"] == 1.0  # Gibbs step always accepts
@@ -203,10 +201,18 @@ def test_run_chain_mechanics_and_reproducibility():
 
 
 def test_mode_mq_tie_breaks_toward_smallest_pair():
-    mk = lambda m, q: ModelState(theta1=1.0, m=m, q=q, sigma2=1.0)
-    states = [mk(2, 3), mk(2, 3), mk(1, 5), mk(1, 5), mk(4, 2)]
-    chain = Chain(states=states, log_posts=np.zeros(5), burn_in=0)
+    draws = {
+        "theta1": np.ones(6),
+        "m": np.array([9, 2, 2, 1, 1, 4]),
+        "q": np.array([9, 3, 3, 5, 5, 2]),
+        "sigma2": np.ones(6),
+    }
+    chain = Chain(draws=draws, log_posts=np.zeros(6), burn_in=1)
     assert chain.mode_mq() == (1, 5)
+    assert chain.retained(thin=2)[:2] == [
+        ModelState(theta1=1.0, m=2, q=3, sigma2=1.0),
+        ModelState(theta1=1.0, m=1, q=5, sigma2=1.0),
+    ]
 
 
 def test_gamma_sampling_needs_consistent_state():
@@ -268,7 +274,8 @@ def test_chain_save_load_round_trip(tmp_path):
     path = str(tmp_path / "chain.csv")
     save_chain(chain, path, extra_meta={"config_hash": "abc123"})
     loaded, meta = load_chain(path)
-    assert loaded.states == chain.states
+    assert loaded.draws.keys() == chain.draws.keys()
+    assert all(np.array_equal(loaded.draws[k], chain.draws[k]) for k in chain.draws)
     assert np.array_equal(loaded.log_posts, chain.log_posts)
     assert loaded.burn_in == 5 and loaded.seed == 9
     assert loaded.accept_rates == chain.accept_rates
@@ -283,8 +290,14 @@ def test_chain_save_load_round_trip(tmp_path):
     path2 = str(tmp_path / "plain.csv")
     save_chain(plain, path2)
     loaded2, _ = load_chain(path2)
-    assert loaded2.states == plain.states
-    assert loaded2.states[0].gamma is None
+    assert all(np.array_equal(loaded2.draws[k], plain.draws[k]) for k in plain.draws)
+    assert "gamma" not in loaded2.draws and loaded2.retained()[0].gamma is None
+
+    bad = tmp_path / "bad.csv"
+    bad.write_text(open(path2).read().replace("\n2,", "\n2,-", 1))
+    (tmp_path / "bad.csv.meta.json").write_text(open(path2 + ".meta.json").read())
+    with pytest.raises(DataError, match="parameter space"):
+        load_chain(str(bad))
 
     with pytest.raises(DataError):
         load_chain(str(tmp_path / "missing.csv"))
@@ -293,31 +306,22 @@ def test_chain_save_load_round_trip(tmp_path):
         load_chain(path)
 
 
-def test_simulate_analog_series_follows_its_own_model():
-    rng = np.random.default_rng(12)
-    t = np.arange(60)
-    forcing = identity_series(
-        np.vstack([np.sin(2 * np.pi * t / 19.0), np.cos(2 * np.pi * t / 11.0)])
-        + 0.1 * rng.normal(size=(2, 60))
-    )
-    kw = dict(lag=1, q=3, m=4, theta1=0.5, sigma2=0.0, tau=2, p_alpha=3, seed=13)
-    sim = simulate_analog_series(forcing, **kw)
-    again = simulate_analog_series(forcing, **kw)
-    assert np.array_equal(sim.values, again.values)
-    assert sim.values.shape == (3, 60)
-    # With zero noise each modeled step equals the analog mean of its past.
-    lib = build_library(forcing, lag=1, q=3)
-    state = ModelState(theta1=0.5, m=4, q=3, sigma2=0.0)
-    start = lib.first_valid
-    for t0 in (start + 12, 40, 58):
-        want = analog_mean(
-            state, lib, sim, t0, 2, np.arange(start, t0)
+def test_walk_proposal_stays_inside_one_value_ranges():
+    # With m_min == m_max (or q_min == q_max) every +-1 step reflects back
+    # onto the single allowed value; it must never leave the prior support.
+    _, responses, lib, index = _setup(seed=12, T=40)
+    for priors in (
+        PriorConfig(m_min=3, m_max=3, q_max=4),
+        PriorConfig(q_min=4, q_max=4, m_max=6),
+    ):
+        chain = run_chain(
+            lib, responses, index, priors,
+            iterations=300, burn_in=50, seed=13,
+            ssr_fn=lambda s: 2.0, n_terms=10,
         )
-        assert np.allclose(sim.values[:, t0 + 1], want, atol=1e-12)
-    noisy = simulate_analog_series(forcing, **{**kw, "sigma2": 0.2})
-    assert not np.allclose(noisy.values, sim.values)
-    with pytest.raises(ConfigError):
-        simulate_analog_series(forcing, **{**kw, "p_alpha": 0})
+        arr = chain.arrays()
+        assert ((arr["m"] >= priors.m_min) & (arr["m"] <= priors.m_max)).all()
+        assert ((arr["q"] >= priors.q_min) & (arr["q"] <= priors.q_max)).all()
 
 
 def test_state_and_prior_validation():

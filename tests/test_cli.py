@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -139,3 +140,19 @@ def test_m8_request_warns_but_still_compares(tmp_path, capsys):
     card = ScoreCard.load(os.path.join(cfg.out_dir, "scorecard.csv"))
     models = {r.model for r in card.rows}
     assert models == {"BA1", "M1", "M5"}
+
+
+def test_ba4_combined_variant_end_to_end(tmp_path):
+    cfg_path = _write_config(
+        tmp_path, variant="BA4", iterations=200, burn_in=50, q_max=4, m_max=6
+    )
+    _run_all(cfg_path)
+    cfg = RunConfig.load(cfg_path)
+    card = ScoreCard.load(os.path.join(cfg.out_dir, "scorecard.csv"))
+    ba4 = [r for r in card.rows if r.model == "BA4"]
+    assert len(ba4) == 1
+    assert np.isfinite(ba4[0].mse) and np.isfinite(ba4[0].ac)
+    with open(os.path.join(cfg.out_dir, "chains", "chain_r1_l1.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 200
+    assert all(0.0 <= float(row["gamma"]) <= 1.0 for row in rows)

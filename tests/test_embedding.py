@@ -29,9 +29,6 @@ def test_library_column_prefix_property():
     # Every embedding at a smaller q is the column prefix of the larger one.
     for t in full.positions:
         assert np.array_equal(full.matrix_at(int(t))[:, :3], small.matrix_at(int(t)))
-    trunc = full.truncated(3)
-    assert np.array_equal(trunc.stack, full.stack[:, :, :3])
-    assert trunc.first_valid == full.first_valid
 
 
 def test_library_rebuild_is_bit_identical():
@@ -63,8 +60,6 @@ def test_library_errors():
     lib = build_library(series, lag=1, q=3)
     with pytest.raises(ConfigError):
         lib.matrix_at(2)
-    with pytest.raises(ConfigError):
-        lib.truncated(4)
 
 
 def test_training_index_matches_brute_force_enumeration():
@@ -76,11 +71,10 @@ def test_training_index_matches_brute_force_enumeration():
         lag=1, q_max=24, t_start=24, t_end=81, tau=6
     )
     assert idx.training_periods.tolist() == periods
-    sizes = set()
-    for t in periods:
-        got = idx.candidates_for(t).tolist()
+    mask = idx.exclusion_mask()
+    for i, t in enumerate(periods):
+        got = idx.candidates[~mask[i]].tolist()
         assert got == pools[t]
-        sizes.add(len(got))
         # No leakage: candidate responses stay inside the training window
         # and the period itself is never its own analog.
         assert all(ell + 6 <= 81 for ell in got)
@@ -95,10 +89,10 @@ def test_training_index_exclusion_radius():
     lib = build_library(series, lag=1, q=5)
     idx = build_training_index(lib, 10, 50, tau=2, exclusion_radius=3)
     _, pools = brute_training_index(1, 5, 10, 50, 2, radius=3)
-    for t in idx.training_periods:
-        assert idx.candidates_for(int(t)).tolist() == pools[int(t)]
     mask = idx.exclusion_mask()
     assert mask.shape == (idx.n_train, idx.candidates.size)
+    for i, t in enumerate(idx.training_periods):
+        assert idx.candidates[~mask[i]].tolist() == pools[int(t)]
     for i, t in enumerate(idx.training_periods):
         assert np.array_equal(mask[i], np.abs(idx.candidates - t) <= 3)
 
@@ -109,9 +103,10 @@ def test_training_index_pool_size_constant_across_periods_interior():
     idx = build_training_index(lib, 24, 81, tau=6)
     # Periods inside the candidate range lose exactly one entry (itself).
     n_cand = idx.candidates.size
-    for t in idx.training_periods:
+    mask = idx.exclusion_mask()
+    for i, t in enumerate(idx.training_periods):
         lost = 1 if idx.candidates[0] <= t <= idx.candidates[-1] else 0
-        assert idx.candidates_for(int(t)).size == n_cand - lost
+        assert np.count_nonzero(~mask[i]) == n_cand - lost
 
 
 def test_training_index_errors():

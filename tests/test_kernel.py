@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from analogcast.errors import ConfigError, NumericError
-from analogcast.kernel import kernel_weights, topk_weights
+from analogcast.kernel import topk_weights
 
 from oracles import weight_oracle
+
+
+def _pool_weights(distances, theta1, m):
+    """topk_weights for one candidate pool, scattered back to pool order:
+    (weights, support columns nearest first)."""
+    distances = np.asarray(distances, dtype=float)
+    w, cols = topk_weights(distances[None, :], theta1, m)
+    full = np.zeros(distances.size)
+    full[cols[0]] = w[0]
+    return full, cols[0]
 
 
 def test_two_candidate_example_matches_scalar_oracle():
@@ -14,15 +24,15 @@ def test_two_candidate_example_matches_scalar_oracle():
     # the two nearest, weights proportional to exp(-0.005) and exp(-0.02).
     ids = np.array([1, 2, 3])
     d = np.array([0.1, 0.2, 0.3])
-    wv = kernel_weights(ids, d, theta1=0.5, m=2)
+    w, cols = _pool_weights(d, theta1=0.5, m=2)
     expected, support = weight_oracle(ids, d, 0.5, 2)
-    assert np.abs(wv.weights - expected).max() < 1e-12
-    assert list(wv.support_ids) == support == [1, 2]
-    assert wv.weights[2] == 0.0
+    assert np.abs(w - expected).max() < 1e-12
+    assert list(ids[cols]) == support == [1, 2]
+    assert w[2] == 0.0
     a = math.exp(-0.1 ** 2 / 1.0)
     b = math.exp(-0.2 ** 2 / 1.0)
-    assert wv.weights[0] == pytest.approx(a / (a + b), abs=1e-12)
-    assert wv.weights[0] > wv.weights[1] > 0.49
+    assert w[0] == pytest.approx(a / (a + b), abs=1e-12)
+    assert w[0] > w[1] > 0.49
 
 
 def test_random_pools_match_oracle():
@@ -33,13 +43,12 @@ def test_random_pools_match_oracle():
         d = rng.uniform(0.0, 3.0, size=n)
         theta1 = float(rng.uniform(0.05, 5.0))
         m = int(rng.integers(1, 20))
-        wv = kernel_weights(ids, d, theta1, m)
+        w, cols = _pool_weights(d, theta1, m)
         expected, support = weight_oracle(ids, d, theta1, m)
-        assert np.abs(wv.weights - expected).max() < 1e-12
-        assert list(wv.support_ids) == support
-        assert abs(wv.weights.sum() - 1.0) < 1e-12
-        assert np.count_nonzero(wv.weights) == min(m, n)
-        assert wv.pool_short == (m > n)
+        assert np.abs(w - expected).max() < 1e-12
+        assert list(ids[cols]) == support
+        assert abs(w.sum() - 1.0) < 1e-12
+        assert np.count_nonzero(w) == cols.size == min(m, n)
 
 
 def test_weights_monotone_in_distance_within_support():
@@ -47,32 +56,35 @@ def test_weights_monotone_in_distance_within_support():
     for _ in range(100):
         n = int(rng.integers(2, 30))
         d = rng.uniform(0.0, 2.0, size=n)
-        wv = kernel_weights(np.arange(n), d, float(rng.uniform(0.1, 2.0)), 5)
-        inside = wv.weights > 0
+        w, _ = _pool_weights(d, float(rng.uniform(0.1, 2.0)), 5)
+        inside = w > 0
         order = np.argsort(d[inside])
-        w_sorted = wv.weights[inside][order]
+        w_sorted = w[inside][order]
         assert np.all(np.diff(w_sorted) <= 1e-15)
 
 
 def test_h_max_is_mth_squared_distance():
+    # The support ends at the m-th nearest candidate: the bandwidth edge
+    # h_max is its squared distance, and everything farther gets zero.
     d = np.array([0.5, 1.5, 1.0, 2.0])
-    wv = kernel_weights(np.arange(4), d, 1.0, 3)
-    assert wv.h_max == pytest.approx(1.5 ** 2)
+    w, cols = _pool_weights(d, 1.0, 3)
+    assert d[cols[-1]] ** 2 == pytest.approx(1.5 ** 2)
+    assert w[3] == 0.0
 
 
 def test_tiny_theta1_concentrates_on_unique_minimum():
     d = np.array([0.4, 0.9, 1.3])
-    wv = kernel_weights(np.array([7, 8, 9]), d, theta1=1e-8, m=3)
-    assert wv.weights[0] > 1.0 - 1e-6
-    assert abs(wv.weights.sum() - 1.0) < 1e-12
+    w, _ = _pool_weights(d, theta1=1e-8, m=3)
+    assert w[0] > 1.0 - 1e-6
+    assert abs(w.sum() - 1.0) < 1e-12
 
 
 def test_distance_ties_break_to_smaller_id():
-    ids = np.array([30, 10, 20])
+    # Candidate ids are the columns, ascending, as in every training pool.
     d = np.array([0.7, 0.7, 0.7])
-    wv = kernel_weights(ids, d, 1.0, 2)
-    assert set(wv.support_ids) == {10, 20}
-    assert wv.weights[0] == 0.0  # id 30 lost the tie despite coming first
+    w, cols = _pool_weights(d, 1.0, 2)
+    assert list(cols) == [0, 1]
+    assert w[2] == 0.0  # the last column lost the tie
 
 
 def test_topk_rows_share_nothing():
@@ -97,12 +109,12 @@ def test_topk_infinite_distances_are_excluded():
 
 def test_validation_errors():
     with pytest.raises(ConfigError):
-        kernel_weights(np.array([1]), np.array([0.5]), theta1=0.0, m=1)
+        topk_weights(np.array([[0.5]]), theta1=0.0, m=1)
     with pytest.raises(ConfigError):
-        kernel_weights(np.array([1]), np.array([0.5]), theta1=1.0, m=0)
+        topk_weights(np.array([[0.5]]), theta1=1.0, m=0)
     with pytest.raises(ConfigError):
-        kernel_weights(np.array([]), np.array([]), theta1=1.0, m=1)
+        topk_weights(np.zeros((1, 0)), theta1=1.0, m=1)
     with pytest.raises(ConfigError):
-        kernel_weights(np.array([1, 2]), np.array([-0.1, 0.5]), 1.0, 1)
+        topk_weights(np.array([[-0.1, 0.5]]), 1.0, 1)
     with pytest.raises(ConfigError):
         topk_weights(np.array([0.5, 0.2]), 1.0, 1)  # 1-d, not (rows, cands)

@@ -4,7 +4,6 @@ import pytest
 from analogcast.errors import ConfigError, NumericError
 from analogcast.metric import (
     combined_distance,
-    euclidean_distance,
     euclidean_distances,
     procrustes_distance,
     procrustes_distances,
@@ -13,30 +12,33 @@ from analogcast.metric import (
 from oracles import procrustes_oracle_q2
 
 
+def _euclid(a, b) -> float:
+    """One pair through the batched distance."""
+    return float(euclidean_distances(np.asarray(a)[None], np.asarray(b)[None])[0, 0])
+
+
 def test_euclidean_matches_direct_summation():
     rng = np.random.default_rng(1)
     for _ in range(50):
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4))
         direct = np.sqrt(sum((a[i, j] - b[i, j]) ** 2 for i in range(3) for j in range(4)))
-        assert abs(euclidean_distance(a, b) - direct) < 1e-12
+        assert abs(_euclid(a, b) - direct) < 1e-12
 
 
 def test_euclidean_identity_and_shape_error():
     a = np.eye(2)
-    assert euclidean_distance(a, a) == 0.0
-    assert abs(euclidean_distance(a, np.zeros((2, 2))) - np.sqrt(2.0)) < 1e-15
+    assert _euclid(a, a) == 0.0
+    assert abs(_euclid(a, np.zeros((2, 2))) - np.sqrt(2.0)) < 1e-15
     with pytest.raises(ConfigError):
-        euclidean_distance(np.zeros((2, 2)), np.zeros((2, 3)))
+        euclidean_distances(np.zeros((1, 2, 2)), np.zeros((1, 2, 3)))
 
 
 def test_euclidean_triangle_inequality():
     rng = np.random.default_rng(2)
     for _ in range(200):
         a, b, c = rng.normal(size=(3, 4, 5))
-        assert euclidean_distance(a, c) <= (
-            euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-12
-        )
+        assert _euclid(a, c) <= _euclid(a, b) + _euclid(b, c) + 1e-12
 
 
 def test_euclidean_batch_matches_scalar():
@@ -46,7 +48,7 @@ def test_euclidean_batch_matches_scalar():
     batch = euclidean_distances(targets, comps)
     for i in range(4):
         for j in range(6):
-            assert abs(batch[i, j] - euclidean_distance(targets[i], comps[j])) < 1e-12
+            assert abs(batch[i, j] - np.linalg.norm(targets[i] - comps[j])) < 1e-12
 
 
 def test_procrustes_self_distance_zero():
@@ -176,6 +178,12 @@ def test_combined_distance_arithmetic_and_bounds():
     d_r = np.array([0.9, 0.1])
     assert np.allclose(combined_distance(d_f, d_r, 1.0), d_f)
     assert np.allclose(combined_distance(d_f, d_r, 0.0), d_r)
+    # An infinite (degenerate) distance on either side stays infinite at
+    # every gamma, the endpoints included: never 0 * inf = NaN.
+    for gamma, mid in ((0.0, 0.3), (0.5, 0.25), (1.0, 0.2)):
+        got = combined_distance(np.array([np.inf, 0.2, 0.4]), np.array([0.5, 0.3, np.inf]), gamma)
+        assert np.isinf(got[0]) and np.isinf(got[2]) and not np.isnan(got).any()
+        assert got[1] == pytest.approx(mid)
     with pytest.raises(ConfigError):
         combined_distance(d_f, d_r, 1.5)
     with pytest.raises(ConfigError):

@@ -15,13 +15,12 @@ patterns) are handled the same way as orthonormal EOFs.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FieldSeries
+from .data import FieldSeries, parse_rows, read_meta, read_table, write_table
 from .errors import ConfigError, DataError, NumericError
 
 _RANK_TOL = 1e-12
@@ -309,16 +308,6 @@ def reconstruct(c: CoefficientSeries) -> FieldSeries:
 
 def save_basis(b: BasisSet, path: str) -> None:
     """Write patterns as wide-csv (lon,lat,b1..bp) plus a JSON sidecar."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lon", "lat"] + [f"b{j + 1}" for j in range(b.p)])
-        for i in range(b.matrix.shape[0]):
-            w.writerow(
-                [repr(float(b.coords[i, 0])), repr(float(b.coords[i, 1]))]
-                + [repr(float(v)) for v in b.matrix[i]]
-            )
     meta = {
         "kind": b.kind,
         "explained_variance": None
@@ -331,38 +320,23 @@ def save_basis(b: BasisSet, path: str) -> None:
         "ridged": b.ridged,
         "block": b.block,
     }
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    header = ["lon", "lat"] + [f"b{j + 1}" for j in range(b.p)]
+    write_table(path, header, np.column_stack([b.coords, b.matrix]).tolist(), meta)
 
 
 def load_basis(path: str) -> BasisSet:
-    import csv
-
-    try:
-        fh = open(path, newline="")
-    except FileNotFoundError:
-        raise DataError(f"{path}: file not found") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        p = len(header) - 2
-        coords, rows = [], []
-        for row in reader:
-            if not row:
-                continue
-            coords.append((float(row[0]), float(row[1])))
-            rows.append([float(v) for v in row[2:]])
-    try:
-        with open(path + ".meta.json") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{path}: missing sidecar {path}.meta.json") from None
+    header, pairs = read_table(path)
+    if header[:2] != ["lon", "lat"]:
+        raise DataError(f"{path}:1: unexpected basis header")
+    values = np.asarray(
+        parse_rows(path, pairs, lambda row: [float(v) for v in row]), dtype=float
+    ).reshape(-1, len(header))
+    meta = read_meta(path)
     ev = meta.get("explained_variance")
     corrs = meta.get("correlations")
-    b = BasisSet(
-        matrix=np.asarray(rows, dtype=float),
-        coords=np.asarray(coords, dtype=float),
+    return BasisSet(
+        matrix=np.ascontiguousarray(values[:, 2:]),
+        coords=np.ascontiguousarray(values[:, :2]),
         kind=meta["kind"],
         explained_variance=None if ev is None else np.asarray([float(v) for v in ev]),
         n_forcing_rows=meta.get("n_forcing_rows"),
@@ -370,6 +344,3 @@ def load_basis(path: str) -> BasisSet:
         ridged=bool(meta.get("ridged", False)),
         block=meta.get("block"),
     )
-    if b.p != p:
-        raise DataError(f"{path}: sidecar does not match {p} pattern columns")
-    return b

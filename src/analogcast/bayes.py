@@ -22,14 +22,13 @@ rebuilds ``ModelState``s where the engine needs them.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .basis import BasisSet, CoefficientSeries
+from .data import parse_rows, read_meta, read_table, write_table
 from .embedding import EmbeddingLibrary, TrainingIndex
 from .errors import ConfigError, DataError, NumericError
 from .kernel import topk_weights
@@ -558,62 +557,40 @@ def save_chain(chain: Chain, path: str, extra_meta: dict | None = None) -> None:
     acceptance rates, seed, and any caller metadata (e.g. a config hash).
     The gamma column is empty when the chain carries no gamma."""
     d = chain.draws
-    gammas = d["gamma"].tolist() if "gamma" in d else [None] * len(chain.log_posts)
+    n = len(chain.log_posts)
+    gammas = d["gamma"].tolist() if "gamma" in d else [None] * n
     rows = zip(
-        d["theta1"].tolist(), d["m"].tolist(), d["q"].tolist(), d["sigma2"].tolist(),
-        gammas, chain.log_posts.tolist(),
+        range(1, n + 1), d["theta1"].tolist(), d["m"].tolist(), d["q"].tolist(),
+        d["sigma2"].tolist(), gammas, chain.log_posts.tolist(),
     )
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CHAIN_HEADER)
-        for i, (theta1, m, q, sigma2, gamma, lp) in enumerate(rows, start=1):
-            g = "" if gamma is None else repr(gamma)
-            w.writerow([i, repr(theta1), m, q, repr(sigma2), g, repr(lp)])
     meta = {
         "burn_in": chain.burn_in,
         "accept_rates": chain.accept_rates,
         "seed": chain.seed,
+        **(extra_meta or {}),
     }
-    if extra_meta:
-        meta.update(extra_meta)
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_table(path, _CHAIN_HEADER, rows, meta)
+
+
+def _chain_row(row: list[str]) -> tuple:
+    return (
+        float(row[1]), int(row[2]), int(row[3]), float(row[4]),
+        float(row[5]) if row[5] else math.nan, float(row[6]),
+    )
 
 
 def load_chain(path: str) -> tuple[Chain, dict]:
     """Read a chain CSV plus sidecar; returns (chain, sidecar metadata)."""
-    try:
-        with open(path + ".meta.json") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{path}: missing sidecar {path}.meta.json") from None
-    cols: dict[str, list] = {k: [] for k in _CHAIN_HEADER[1:]}
-    try:
-        fh = open(path, newline="")
-    except FileNotFoundError:
-        raise DataError(f"{path}: file not found") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:7] != _CHAIN_HEADER:
-            raise DataError(f"{path}:1: unexpected chain header")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                values = (
-                    float(row[1]), int(row[2]), int(row[3]), float(row[4]),
-                    float(row[5]) if row[5] else math.nan, float(row[6]),
-                )
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{line_no}: cannot parse chain row") from None
-            for col, v in zip(cols.values(), values):
-                col.append(v)
-    log_posts = np.asarray(cols.pop("log_post"))
-    draws = {k: np.asarray(v, dtype=int if k in ("m", "q") else float) for k, v in cols.items()}
-    if np.isnan(draws["gamma"]).all():
-        del draws["gamma"]
+    meta = read_meta(path)
+    header, pairs = read_table(path)
+    if header[:7] != _CHAIN_HEADER:
+        raise DataError(f"{path}:1: unexpected chain header")
+    theta1, m, q, sigma2, gamma, log_posts = (
+        np.asarray(parse_rows(path, pairs, _chain_row), dtype=float).reshape(-1, 6).T.copy()
+    )
+    draws = {"theta1": theta1, "m": m.astype(int), "q": q.astype(int), "sigma2": sigma2}
+    if not np.isnan(gamma).all():
+        draws["gamma"] = gamma
     g = draws.get("gamma", np.zeros(0))
     if not (
         (draws["theta1"] > 0).all() and (draws["sigma2"] >= 0).all()

@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass, field
 
 from .baselines import BASELINE_LABELS
+from .data import write_json
 from .errors import ConfigError
 from .metric import METRICS
 
@@ -143,9 +144,7 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @staticmethod
     def load(path: str) -> "RunConfig":

@@ -1,15 +1,22 @@
-"""Gridded field containers, CSV ingestion, anomalies, and synthetic data.
+"""Gridded field containers, CSV and artifact I/O, anomalies, and synthetic data.
 
 A field is a dense (n_loc, n_time) matrix of one variable on a fixed set
 of lon/lat points at strictly increasing integer time steps.  All loaders
 normalize ordering (rows by lon then lat, columns by time) so downstream
 results do not depend on file row order.
+
+Every CSV table and JSON sidecar the package reads or writes goes through
+``read_table``, ``parse_rows`` and ``read_meta``, or ``write_table`` and
+``write_json``, which replace files atomically.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,21 +86,99 @@ def _parse_time_label(label: str) -> int:
         raise DataError(f"cannot parse time label {label!r}") from None
 
 
-def _parse_float(text: str, path: str, line_no: int) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise DataError(f"{path}:{line_no}: cannot parse value {text!r}") from None
-    if not math.isfinite(v):
-        raise DataError(f"{path}:{line_no}: non-finite value {text!r}")
-    return v
+def _check_finite(path: str, pairs: list, values: np.ndarray) -> None:
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise DataError(f"{path}:{pairs[int(bad.argmax())][0]}: non-finite value")
 
 
-def _open_text(path: str):
+def _reject_duplicates(path: str, pairs: list, keys: list, what: str) -> None:
+    seen = set()
+    for (line_no, _), key in zip(pairs, keys):
+        if key in seen:
+            raise DataError(f"{path}:{line_no}: duplicate {what} {key}")
+        seen.add(key)
+
+
+def read_table(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Read a CSV file as (header, [(line number, row), ...]), skipping blank
+    lines.  A missing or empty file, or a row whose field count differs from
+    the header's, raises DataError."""
     try:
-        return open(path, newline="")
+        fh = open(path, newline="")
     except FileNotFoundError:
         raise DataError(f"{path}: file not found") from None
+    with fh:
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            pairs = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
+        except (csv.Error, UnicodeDecodeError) as e:
+            raise DataError(f"{path}: unreadable CSV ({e})") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    for line_no, row in pairs:
+        if len(row) != len(header):
+            raise DataError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
+    return header, pairs
+
+
+def parse_rows(path: str, pairs: list[tuple[int, list[str]]], parse) -> list:
+    """Apply ``parse`` to every row from ``read_table``; a cell it cannot
+    convert (ValueError) raises DataError naming the file and line."""
+    out = []
+    for line_no, row in pairs:
+        try:
+            out.append(parse(row))
+        except ValueError as e:
+            raise DataError(f"{path}:{line_no}: {e}") from None
+    return out
+
+
+def read_meta(path: str) -> dict:
+    """Read the JSON sidecar ``path + ".meta.json"`` of the table at ``path``."""
+    sidecar = path + ".meta.json"
+    try:
+        with open(sidecar) as fh:
+            meta = json.load(fh)
+    except FileNotFoundError:
+        raise DataError(f"{path}: missing sidecar {sidecar}") from None
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{sidecar}: invalid JSON ({e})") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{sidecar}: sidecar must hold a JSON object")
+    return meta
+
+
+def write_table(path: str, header: list[str], rows, meta: dict | None = None) -> None:
+    """Write a CSV table, floats as ``repr(float(v))`` and other cells as
+    ``csv`` formats them (None as an empty cell), plus the JSON sidecar
+    ``path + ".meta.json"`` when ``meta`` is given.  Each file is replaced
+    atomically, so a failed write leaves the previous file (or none)."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
+    _replace_text(path, buf.getvalue())
+    if meta is not None:
+        write_json(path + ".meta.json", meta)
+
+
+def write_json(path: str, obj) -> None:
+    """Atomically write ``obj`` as key-sorted JSON, indent 2, trailing newline."""
+    _replace_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _replace_text(path: str, text: str) -> None:
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _sorted_field(values, coords, times) -> FieldSeries:
@@ -124,67 +209,33 @@ def load_field(path: str, fmt: str = "wide-csv") -> FieldSeries:
 
 
 def _load_wide(path: str) -> FieldSeries:
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(header) < 3 or header[0].strip().lower() != "lon" or header[1].strip().lower() != "lat":
-            raise DataError(f"{path}:1: header must start with lon,lat followed by time columns")
-        times = [_parse_time_label(h) for h in header[2:]]
-        if len(set(times)) != len(times):
-            raise DataError(f"{path}:1: duplicate time columns")
-        coords, rows = [], []
-        seen = set()
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            lon = _parse_float(row[0], path, line_no)
-            lat = _parse_float(row[1], path, line_no)
-            if (lon, lat) in seen:
-                raise DataError(f"{path}:{line_no}: duplicate location ({lon}, {lat})")
-            seen.add((lon, lat))
-            coords.append((lon, lat))
-            rows.append([_parse_float(v, path, line_no) for v in row[2:]])
-    if not rows:
+    header, pairs = read_table(path)
+    if len(header) < 3 or header[0].strip().lower() != "lon" or header[1].strip().lower() != "lat":
+        raise DataError(f"{path}:1: header must start with lon,lat followed by time columns")
+    times = [_parse_time_label(h) for h in header[2:]]
+    if len(set(times)) != len(times):
+        raise DataError(f"{path}:1: duplicate time columns")
+    if not pairs:
         raise DataError(f"{path}: no data rows")
-    return _sorted_field(rows, coords, times)
+    values = np.asarray(parse_rows(path, pairs, lambda row: [float(v) for v in row]))
+    _check_finite(path, pairs, values)
+    _reject_duplicates(path, pairs, list(map(tuple, values[:, :2].tolist())), "location")
+    return _sorted_field(values[:, 2:], values[:, :2], times)
 
 
 def _load_long(path: str) -> FieldSeries:
-    cells: dict[tuple[float, float], dict[int, float]] = {}
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        want = ["lon", "lat", "time", "value"]
-        if [h.strip().lower() for h in header] != want:
-            raise DataError(f"{path}:1: header must be {','.join(want)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{line_no}: expected 4 fields, got {len(row)}")
-            lon = _parse_float(row[0], path, line_no)
-            lat = _parse_float(row[1], path, line_no)
-            try:
-                t = int(row[2])
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: cannot parse time {row[2]!r}") from None
-            v = _parse_float(row[3], path, line_no)
-            per_loc = cells.setdefault((lon, lat), {})
-            if t in per_loc:
-                raise DataError(f"{path}:{line_no}: duplicate cell ({lon}, {lat}, {t})")
-            per_loc[t] = v
-    if not cells:
+    header, pairs = read_table(path)
+    want = ["lon", "lat", "time", "value"]
+    if [h.strip().lower() for h in header] != want:
+        raise DataError(f"{path}:1: header must be {','.join(want)}")
+    if not pairs:
         raise DataError(f"{path}: no data rows")
+    rows = parse_rows(path, pairs, lambda r: (float(r[0]), float(r[1]), int(r[2]), float(r[3])))
+    _check_finite(path, pairs, np.asarray(rows)[:, [0, 1, 3]])
+    _reject_duplicates(path, pairs, [row[:3] for row in rows], "cell")
+    cells: dict[tuple[float, float], dict[int, float]] = {}
+    for lon, lat, t, v in rows:
+        cells.setdefault((lon, lat), {})[t] = v
     time_sets = {frozenset(d) for d in cells.values()}
     if len(time_sets) != 1:
         raise DataError(f"{path}: ragged rows, locations do not share one time set")
@@ -196,14 +247,11 @@ def _load_long(path: str) -> FieldSeries:
 
 def save_field(f: FieldSeries, path: str) -> None:
     """Write a field as wide-csv with full-precision (round-trip exact) floats."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lon", "lat"] + [f"t{t}" for t in f.times])
-        for i in range(f.n_loc):
-            w.writerow(
-                [repr(float(f.coords[i, 0])), repr(float(f.coords[i, 1]))]
-                + [repr(float(v)) for v in f.values[i]]
-            )
+    write_table(
+        path,
+        ["lon", "lat"] + [f"t{t}" for t in f.times],
+        np.column_stack([f.coords, f.values]).tolist(),
+    )
 
 
 def to_anomalies(
@@ -385,29 +433,13 @@ def _band_index(vals: np.ndarray, n_bands: int) -> np.ndarray:
 
 def load_regions(path: str, coords: np.ndarray) -> RegionPartition:
     """Load a lon,lat,region file and align it with the given coordinates."""
-    table: dict[tuple[float, float], int] = {}
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header] != ["lon", "lat", "region"]:
-            raise DataError(f"{path}:1: header must be lon,lat,region")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
-            lon = _parse_float(row[0], path, line_no)
-            lat = _parse_float(row[1], path, line_no)
-            try:
-                rid = int(row[2])
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: cannot parse region {row[2]!r}") from None
-            if (lon, lat) in table:
-                raise DataError(f"{path}:{line_no}: duplicate location ({lon}, {lat})")
-            table[(lon, lat)] = rid
+    header, pairs = read_table(path)
+    if [h.strip().lower() for h in header] != ["lon", "lat", "region"]:
+        raise DataError(f"{path}:1: header must be lon,lat,region")
+    rows = parse_rows(path, pairs, lambda r: (float(r[0]), float(r[1]), int(r[2])))
+    _check_finite(path, pairs, np.asarray(rows, dtype=float).reshape(-1, 3)[:, :2])
+    _reject_duplicates(path, pairs, [row[:2] for row in rows], "location")
+    table = {(lon, lat): rid for lon, lat, rid in rows}
     region = []
     for lon, lat in np.asarray(coords, dtype=float):
         try:
@@ -418,11 +450,9 @@ def load_regions(path: str, coords: np.ndarray) -> RegionPartition:
 
 
 def save_regions(part: RegionPartition, coords: np.ndarray, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lon", "lat", "region"])
-        for (lon, lat), rid in zip(np.asarray(coords, dtype=float), part.region_of):
-            w.writerow([repr(float(lon)), repr(float(lat)), int(rid)])
+    coords = np.asarray(coords, dtype=float).tolist()
+    rows = [c + [rid] for c, rid in zip(coords, part.region_of.tolist())]
+    write_table(path, ["lon", "lat", "region"], rows)
 
 
 def restrict_to_region(f: FieldSeries, part: RegionPartition, region_id: int) -> FieldSeries:

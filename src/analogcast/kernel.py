@@ -29,8 +29,8 @@ def topk_weights(
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 2 or dist.shape[1] < 1:
         raise ConfigError("need a 2-d distance matrix with at least one candidate")
-    if (np.nan_to_num(dist, posinf=0.0) < 0).any():
-        raise ConfigError("distances must be nonnegative")
+    if not (dist >= 0).all():  # also False for NaN
+        raise ConfigError("distances must be nonnegative and not NaN")
     m_eff = min(m, dist.shape[1])
     order = np.argsort(dist, axis=1, kind="stable")  # stable: ties keep lower column
     cols = order[:, :m_eff]

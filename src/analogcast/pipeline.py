@@ -10,15 +10,19 @@ re-run or re-scored exactly from what the previous one wrote:
     scorecard_ba.csv, series_r{R}_l{L}.csv            (evaluate stage)
     scorecard.csv                                     (compare stage)
 
-Every chain records the config hash it was trained under; forecast and
-evaluation refuse to mix artifacts from different configurations.  All
-worker seeds are derived from (seed, stage, region, lead), so results do
-not depend on how tasks are scheduled across processes.
+Every chain records the config hash it was trained under, and the forecast
+stage refuses a chain whose hash does not match the current config; no
+other stage checks a hash.  Every artifact is written through
+``data.write_table`` (atomically, so an interrupted stage leaves the old
+file or none), and a missing, empty, cut-off or unparsable artifact raises
+``DataError`` (CLI exit 3).  Each train and forecast stage loads its inputs
+once and hands them to every (region, lead) task.  All worker seeds are
+derived from (seed, stage, region, lead), so results do not depend on how
+tasks are scheduled across processes.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 import sys
@@ -58,10 +62,13 @@ from .data import (
     load_field,
     load_regions,
     make_grid_partition,
+    parse_rows,
+    read_table,
     restrict_to_region,
     save_field,
     save_regions,
     to_anomalies,
+    write_table,
 )
 from .embedding import build_library, build_training_index
 from .errors import ConfigError, DataError
@@ -257,14 +264,6 @@ def stage_basis(cfg: RunConfig) -> list[str]:
     return written
 
 
-def _load_bases(cfg, region, lead) -> tuple[BasisSet, BasisSet]:
-    p_psi = path_basis(cfg, "psi", region, lead)
-    p_phi = path_basis(cfg, "phi", region, lead)
-    if not (os.path.exists(p_psi) and os.path.exists(p_phi)):
-        raise DataError(f"missing basis files for region {region} lead {lead}; run basis first")
-    return load_basis(p_psi), load_basis(p_phi)
-
-
 # --- train stage -------------------------------------------------------------
 
 
@@ -283,7 +282,8 @@ class RegionLeadSetup:
 
 
 def build_setup(cfg: RunConfig, prep: Prepared, region: int, lead: int) -> RegionLeadSetup:
-    psi, phi = _load_bases(cfg, region, lead)
+    psi = load_basis(path_basis(cfg, "psi", region, lead))
+    phi = load_basis(path_basis(cfg, "phi", region, lead))
     resp = restrict_to_region(prep.response, prep.partition, region)
     beta = project(prep.forcing, psi)
     alpha = project(resp, phi)
@@ -329,9 +329,7 @@ def build_setup(cfg: RunConfig, prep: Prepared, region: int, lead: int) -> Regio
 
 
 def _train_one(args: tuple) -> str:
-    cfg_dict, region, lead = args
-    cfg = RunConfig(**cfg_dict)
-    prep = load_prepared(cfg)
+    cfg, prep, region, lead = args
     setup = build_setup(cfg, prep, region, lead)
     chain = run_chain(
         setup.lib,
@@ -357,7 +355,14 @@ def _train_one(args: tuple) -> str:
     return path
 
 
-def _run_tasks(cfg: RunConfig, worker, tasks: list[tuple]) -> list:
+def _run_tasks(cfg: RunConfig, worker) -> list:
+    """Load the inputs once and run ``worker`` on every (region, lead) task."""
+    prep = load_prepared(cfg)
+    tasks = [
+        (cfg, prep, region, lead)
+        for region in range(1, prep.partition.n_regions + 1)
+        for lead in cfg.leads
+    ]
     jobs = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
     jobs = max(1, min(jobs, len(tasks)))
     if jobs == 1:
@@ -367,22 +372,17 @@ def _run_tasks(cfg: RunConfig, worker, tasks: list[tuple]) -> list:
 
 
 def stage_train(cfg: RunConfig) -> list[str]:
-    prep = load_prepared(cfg)
-    tasks = [
-        (cfg.to_dict(), region, lead)
-        for region in range(1, prep.partition.n_regions + 1)
-        for lead in cfg.leads
-    ]
-    return _run_tasks(cfg, _train_one, tasks)
+    return _run_tasks(cfg, _train_one)
 
 
 # --- forecast stage ----------------------------------------------------------
 
 
+_SPATIAL_HEADER = ["target_time", "forecast_mean", "lo", "hi"]
+
+
 def _forecast_one(args: tuple) -> str:
-    cfg_dict, region, lead = args
-    cfg = RunConfig(**cfg_dict)
-    prep = load_prepared(cfg)
+    cfg, prep, region, lead = args
     setup = build_setup(cfg, prep, region, lead)
     chain, meta = load_chain(path_chain(cfg, region, lead))
     if meta.get("config_hash") != cfg.content_hash():
@@ -409,80 +409,48 @@ def _forecast_one(args: tuple) -> str:
                 engine=engine,
             )
         )
-    coords = setup.phi.coords
+    cals = [int(times[fd.target_time - 1]) for fd in fds]
     fc_path = path_forecast(cfg, region, lead)
-    with open(fc_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["lon", "lat"]
-        for fd in fds:
-            cal = times[fd.target_time - 1]
-            header += [f"mean_t{cal}", f"lo_t{cal}", f"hi_t{cal}"]
-        w.writerow(header)
-        for i in range(coords.shape[0]):
-            row = [repr(float(coords[i, 0])), repr(float(coords[i, 1]))]
-            for fd in fds:
-                row += [repr(float(fd.field_mean[i])), repr(float(fd.field_lo[i])), repr(float(fd.field_hi[i]))]
-            w.writerow(row)
-    sp_path = path_forecast(cfg, region, lead, spatial=True)
-    with open(sp_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["target_time", "forecast_mean", "lo", "hi"])
-        for fd in fds:
-            sp = fd.field_draws.mean(axis=1)
-            w.writerow(
-                [
-                    int(times[fd.target_time - 1]),
-                    repr(float(sp.mean())),
-                    repr(float(np.quantile(sp, 0.025))),
-                    repr(float(np.quantile(sp, 0.975))),
-                ]
-            )
+    header = ["lon", "lat"] + [f"{k}_t{cal}" for cal in cals for k in ("mean", "lo", "hi")]
+    bands = [np.column_stack([fd.field_mean, fd.field_lo, fd.field_hi]) for fd in fds]
+    write_table(fc_path, header, np.column_stack([setup.phi.coords] + bands).tolist())
+    spatial = []
+    for cal, fd in zip(cals, fds):
+        sp = fd.field_draws.mean(axis=1)
+        spatial.append([cal, sp.mean(), np.quantile(sp, 0.025), np.quantile(sp, 0.975)])
+    write_table(path_forecast(cfg, region, lead, spatial=True), _SPATIAL_HEADER, spatial)
     if cfg.save_draws:
-        with open(path_draws(cfg, region, lead), "w", newline="") as fh:
-            w = csv.writer(fh)
-            p = fds[0].coeff_draws.shape[1]
-            w.writerow(["target_time", "draw"] + [f"c{j + 1}" for j in range(p)])
-            for fd in fds:
-                cal = int(times[fd.target_time - 1])
-                for d in range(fd.coeff_draws.shape[0]):
-                    w.writerow([cal, d + 1] + [repr(float(v)) for v in fd.coeff_draws[d]])
+        p = fds[0].coeff_draws.shape[1]
+        write_table(
+            path_draws(cfg, region, lead),
+            ["target_time", "draw"] + [f"c{j + 1}" for j in range(p)],
+            (
+                [cal, d + 1] + draw
+                for cal, fd in zip(cals, fds)
+                for d, draw in enumerate(fd.coeff_draws.tolist())
+            ),
+        )
     return fc_path
 
 
 def stage_forecast(cfg: RunConfig) -> list[str]:
-    prep = load_prepared(cfg)
-    tasks = [
-        (cfg.to_dict(), region, lead)
-        for region in range(1, prep.partition.n_regions + 1)
-        for lead in cfg.leads
-    ]
-    return _run_tasks(cfg, _forecast_one, tasks)
+    return _run_tasks(cfg, _forecast_one)
 
 
 def read_forecast_means(path: str, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read a forecast file back as (mean matrix (n_loc, n_targets),
     target positions).  Only the mean columns are used for scoring."""
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        mean_cols = [
-            (j, int(name.split("_t", 1)[1]))
-            for j, name in enumerate(header)
-            if name.startswith("mean_t")
-        ]
-        rows = [row for row in reader if row]
-    if not mean_cols:
+    header, pairs = read_table(path)
+    cols = [j for j, name in enumerate(header) if name.startswith("mean_t")]
+    if not cols:
         raise DataError(f"{path}: no mean columns found")
-    cal_to_pos = {int(t): i + 1 for i, t in enumerate(times)}
+    pos_of = {f"mean_t{int(t)}": i + 1 for i, t in enumerate(times)}
     try:
-        positions = np.asarray([cal_to_pos[cal] for _, cal in mean_cols])
+        positions = np.asarray([pos_of[header[j]] for j in cols])
     except KeyError as e:
-        raise DataError(f"{path}: target time {e} not in the response series") from None
-    means = np.asarray(
-        [[float(row[j]) for j, _ in mean_cols] for row in rows], dtype=float
-    )
-    return means, positions
+        raise DataError(f"{path}: column {e} names no time of the response series") from None
+    means = parse_rows(path, pairs, lambda row: [float(row[j]) for j in cols])
+    return np.asarray(means, dtype=float).reshape(-1, len(cols)), positions
 
 
 # --- evaluate and compare stages ----------------------------------------------
@@ -491,9 +459,9 @@ def read_forecast_means(path: str, times: np.ndarray) -> tuple[np.ndarray, np.nd
 def _ba_row(cfg, prep, region, lead) -> tuple[ScoreRow, np.ndarray, np.ndarray]:
     resp = restrict_to_region(prep.response, prep.partition, region)
     fc_path = path_forecast(cfg, region, lead)
-    if not os.path.exists(fc_path):
-        raise DataError(f"missing forecast file {fc_path}; run forecast first")
     means, positions = read_forecast_means(fc_path, prep.response.times)
+    if means.shape[0] != resp.n_loc:
+        raise DataError(f"{fc_path}: {means.shape[0]} rows for {resp.n_loc} region locations")
     realized = resp.values[:, positions - 1]
     row = score_forecasts(
         region, cfg.variant, lead, realized, means, corrected_ac=cfg.ac_corrected
@@ -502,7 +470,6 @@ def _ba_row(cfg, prep, region, lead) -> tuple[ScoreRow, np.ndarray, np.ndarray]:
 
 
 def stage_evaluate(cfg: RunConfig) -> str:
-
     prep = load_prepared(cfg)
     rows = []
     for region in range(1, prep.partition.n_regions + 1):
@@ -511,19 +478,22 @@ def stage_evaluate(cfg: RunConfig) -> str:
             rows.append(row)
             # Figure-style regional series: realized vs forecast band.
             sp_path = path_forecast(cfg, region, lead, spatial=True)
-            with open(sp_path, newline="") as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                spatial = [r for r in reader if r]
+            header, pairs = read_table(sp_path)
+            if header != _SPATIAL_HEADER:
+                raise DataError(f"{sp_path}:1: unexpected spatial forecast header")
+            spatial = parse_rows(
+                sp_path, pairs, lambda r: [int(r[0]), float(r[1]), float(r[2]), float(r[3])]
+            )
             if len(spatial) != positions.size:
                 raise DataError(f"{sp_path}: row count does not match the forecast file")
-            with open(path_series(cfg, region, lead), "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["target_time", "realized_mean", "forecast_mean", "lo", "hi"])
-                for k, (cal, fc_mean, lo, hi) in enumerate(spatial):
-                    w.writerow(
-                        [cal, repr(float(realized[:, k].mean())), fc_mean, lo, hi]
-                    )
+            write_table(
+                path_series(cfg, region, lead),
+                ["target_time", "realized_mean", "forecast_mean", "lo", "hi"],
+                (
+                    [cal, realized[:, k].mean(), fc_mean, lo, hi]
+                    for k, (cal, fc_mean, lo, hi) in enumerate(spatial)
+                ),
+            )
     card = ScoreCard(rows)
     out = path_scorecard(cfg, combined=False)
     card.save(out)

@@ -11,12 +11,12 @@ without the square root in the denominator is kept behind
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import parse_rows, read_table, write_table
 from .errors import ConfigError, DataError, NumericError
 
 
@@ -62,6 +62,9 @@ class ScoreRow:
     n_targets: int
 
 
+_SCORECARD_HEADER = ["region", "model", "lead", "mse", "ac", "n_targets"]
+
+
 @dataclass
 class ScoreCard:
     """Scores per (region, model, lead) with best-in-group flags."""
@@ -86,45 +89,21 @@ class ScoreCard:
 
     def save(self, path: str) -> None:
         flags = self.flags()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["region", "model", "lead", "mse", "ac", "n_targets", "is_best_mse", "is_best_ac"]
-            )
-            for r in self.sorted_rows():
-                bm, ba = flags[(r.region, r.model, r.lead)]
-                w.writerow(
-                    [r.region, r.model, r.lead, repr(float(r.mse)), repr(float(r.ac)), r.n_targets, int(bm), int(ba)]
-                )
+        rows = []
+        for r in self.sorted_rows():
+            bm, ba = flags[(r.region, r.model, r.lead)]
+            rows.append([r.region, r.model, r.lead, r.mse, r.ac, r.n_targets, int(bm), int(ba)])
+        write_table(path, _SCORECARD_HEADER + ["is_best_mse", "is_best_ac"], rows)
 
     @staticmethod
     def load(path: str) -> "ScoreCard":
-        rows = []
-        try:
-            fh = open(path, newline="")
-        except FileNotFoundError:
-            raise DataError(f"{path}: file not found") from None
-        with fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[:6] != ["region", "model", "lead", "mse", "ac", "n_targets"]:
-                raise DataError(f"{path}:1: unexpected scorecard header")
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    rows.append(
-                        ScoreRow(
-                            region=int(row[0]),
-                            model=row[1],
-                            lead=int(row[2]),
-                            mse=float(row[3]),
-                            ac=float(row[4]),
-                            n_targets=int(row[5]),
-                        )
-                    )
-                except ValueError:
-                    raise DataError(f"{path}:{line_no}: cannot parse scorecard row") from None
+        header, pairs = read_table(path)
+        if header[:6] != _SCORECARD_HEADER:
+            raise DataError(f"{path}:1: unexpected scorecard header")
+        rows = parse_rows(
+            path, pairs,
+            lambda r: ScoreRow(int(r[0]), r[1], int(r[2]), float(r[3]), float(r[4]), int(r[5])),
+        )
         return ScoreCard(rows)
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -156,3 +157,38 @@ def test_ba4_combined_variant_end_to_end(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 200
     assert all(0.0 <= float(row["gamma"]) <= 1.0 for row in rows)
+
+
+@pytest.fixture(scope="module")
+def forecast_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("forecast_run")
+    _run_all(_write_config(base), stages=("synth", "basis", "train", "forecast"))
+    return base / "out"
+
+
+@pytest.mark.parametrize("damage", ["empty", "cut mid-row", "non-numeric cell"])
+@pytest.mark.parametrize(
+    "stage, rel",
+    [
+        ("forecast", "bases/psi_r1_l1.csv"),
+        ("forecast", "chains/chain_r1_l1.csv"),
+        ("evaluate", "forecasts/fc_r1_l1.csv"),
+        ("evaluate", "forecasts/fc_r1_l1_spatial.csv"),
+    ],
+)
+def test_malformed_artifact_exits_3(tmp_path, capsys, forecast_run, stage, rel, damage):
+    shutil.copytree(forecast_run, tmp_path / "out")
+    cfg_path = _write_config(tmp_path)
+    path = tmp_path / "out" / rel
+    lines = path.read_text().splitlines(keepends=True)
+    if damage == "empty":
+        lines = []
+    elif damage == "cut mid-row":
+        lines = [lines[0], lines[1][: len(lines[1]) // 2]]
+    else:
+        cells = lines[1].split(",")
+        cells[2] = "abc"  # a parameter, pattern or forecast value in every file
+        lines[1] = ",".join(cells)
+    path.write_text("".join(lines))
+    assert main([stage, "--config", cfg_path]) == 3
+    assert str(path) in capsys.readouterr().err

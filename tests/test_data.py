@@ -8,10 +8,13 @@ from analogcast.data import (
     load_field,
     load_regions,
     make_grid_partition,
+    read_meta,
+    read_table,
     restrict_to_region,
     save_field,
     save_regions,
     to_anomalies,
+    write_table,
 )
 from analogcast.errors import ConfigError, DataError
 
@@ -77,6 +80,31 @@ def test_load_errors_name_the_line(tmp_path):
         load_field(str(tmp_path / "missing.csv"))
     with pytest.raises(ConfigError):
         load_field(str(bad), fmt="parquet")
+
+
+def test_write_table_replaces_atomically(tmp_path):
+    def interrupted():
+        yield [0.5, 1]
+        raise RuntimeError("interrupted")
+
+    path = tmp_path / "t.csv"
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_table(str(path), ["x", "n"], interrupted(), meta={"v": 1})
+    assert list(tmp_path.iterdir()) == []
+    write_table(str(path), ["x", "n"], [[np.float64(0.1), 2], [1 / 3, None]], meta={"v": 1})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert before == {
+        "t.csv": b"x,n\r\n0.1,2\r\n0.3333333333333333,\r\n",
+        "t.csv.meta.json": b'{\n  "v": 1\n}\n',
+    }
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_table(str(path), ["x", "n"], interrupted(), meta={"v": 2})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert read_table(str(path)) == (["x", "n"], [(2, ["0.1", "2"]), (3, ["0.3333333333333333", ""])])
+    assert read_meta(str(path)) == {"v": 1}
+    (tmp_path / "t.csv.meta.json").write_text("{")
+    with pytest.raises(DataError, match="invalid JSON"):
+        read_meta(str(path))
 
 
 def test_field_series_validation():

@@ -117,4 +117,6 @@ def test_validation_errors():
     with pytest.raises(ConfigError):
         topk_weights(np.array([[-0.1, 0.5]]), 1.0, 1)
     with pytest.raises(ConfigError):
+        topk_weights(np.array([[np.nan, 0.5, 0.7]]), 1.0, 2)
+    with pytest.raises(ConfigError):
         topk_weights(np.array([0.5, 0.2]), 1.0, 1)  # 1-d, not (rows, cands)

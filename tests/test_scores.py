@@ -102,6 +102,10 @@ def test_scorecard_round_trip_and_errors(tmp_path):
 
     with pytest.raises(DataError, match="file not found"):
         ScoreCard.load(str(tmp_path / "missing.csv"))
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(DataError, match="empty.csv: empty file"):
+        ScoreCard.load(str(empty))
     bad = tmp_path / "bad.csv"
     bad.write_text("region,model\n")
     with pytest.raises(DataError, match="header"):

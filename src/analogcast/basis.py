@@ -331,7 +331,7 @@ def load_basis(path: str) -> BasisSet:
     values = np.asarray(
         parse_rows(path, pairs, lambda row: [float(v) for v in row]), dtype=float
     ).reshape(-1, len(header))
-    meta = read_meta(path)
+    meta = read_meta(path, kind=str)
     ev = meta.get("explained_variance")
     corrs = meta.get("correlations")
     return BasisSet(

@@ -10,9 +10,17 @@ sampler: the noise variance has a conjugate inverse-gamma draw, theta1
 moves by a random walk on its log, m and q take reflected unit steps,
 gamma a reflected uniform step.
 
-Likelihood evaluations reduce to one cached (train x candidate) distance
-matrix per q: embeddings at smaller q are column prefixes of the q_max
-library, and distances never depend on theta1 or m.
+Distances never depend on theta1 or m, so ``AnalogEngine`` computes the
+(train x candidate) distance matrix once per q (embeddings at smaller q
+are column prefixes of the q_max library) and sorts it once per q, or per
+(q, gamma) under the combined metric: the view keeps the squared
+distances and candidate responses of the m_max nearest candidates of each
+training period, its own exclusions folded in.  A residual is then an exp
+and a weighted sum over the first m columns; the state and the distances
+are checked once, when the view is built.  Gamma is continuous, so under
+the combined metric only the current and the last proposed views are
+kept.  Forecasts from one initial condition go through the same views,
+keyed by (q, gamma, initial time).
 
 A ``Chain`` keeps its trace by column, one array per sampled parameter
 over all iterations (gamma only when the state carries one), and
@@ -31,7 +39,7 @@ from .basis import BasisSet, CoefficientSeries
 from .data import parse_rows, read_meta, read_table, write_table
 from .embedding import EmbeddingLibrary, TrainingIndex
 from .errors import ConfigError, DataError, NumericError
-from .kernel import topk_weights
+from .kernel import sort_candidates, sorted_weights
 from .metric import METRICS, combined_distance, euclidean_distances, procrustes_distances
 
 
@@ -123,7 +131,8 @@ def gaussian_loglik(ssr: float, n_terms: int, sigma2: float) -> float:
 
 
 class AnalogEngine:
-    """Caches distances and evaluates residuals for one training setup.
+    """Sorts candidates once per distance key and evaluates residuals for
+    one training setup.
 
     Parameters
     ----------
@@ -138,6 +147,9 @@ class AnalogEngine:
     aux_lib : EmbeddingLibrary, optional
         Response-side embeddings for the combined distance, built with the
         same lag and q as ``lib``.
+    m_max : int, optional
+        Largest m a state may ask for (default: the candidate pool size);
+        each sorted view keeps that many columns.
     """
 
     def __init__(
@@ -148,6 +160,7 @@ class AnalogEngine:
         metric: str = "procrustes",
         scale_norm: str = "centered",
         aux_lib: EmbeddingLibrary | None = None,
+        m_max: int | None = None,
     ):
         if metric not in METRICS:
             raise ConfigError(f"unknown metric {metric!r} (use one of {METRICS})")
@@ -164,12 +177,17 @@ class AnalogEngine:
                 raise DataError("auxiliary library covers a different time span")
         elif aux_lib is not None:
             raise ConfigError(f"metric {metric!r} does not use an auxiliary library")
+        if m_max is None:
+            m_max = index.candidates.size
+        if m_max < 1:
+            raise ConfigError(f"m_max must be >= 1, got {m_max}")
         self.lib = lib
         self.responses = responses
         self.index = index
         self.metric = metric
         self.scale_norm = scale_norm
         self.aux_lib = aux_lib
+        self.m_max = m_max
         self.n_terms = index.n_train * responses.p
         resp_cols = index.training_periods + index.tau - 1
         self._targets = responses.values[:, resp_cols].T  # (n_train, p)
@@ -177,8 +195,8 @@ class AnalogEngine:
         self._excl = index.exclusion_mask()
         self._train_rows = index.training_periods - lib.first_valid
         self._cand_rows = index.candidates - lib.first_valid
-        self._train_cache: dict[int, tuple] = {}
-        self._oos_cache: dict[tuple[int, int], tuple] = {}
+        self._pairs: dict[tuple, tuple] = {}  # (q, t_initial) -> (main, aux) distances
+        self._views: dict[tuple, tuple] = {}  # (q, gamma, t_initial) -> sorted view
 
     def _pairwise(self, lib: EmbeddingLibrary, rows: np.ndarray, q: int) -> np.ndarray:
         targets = lib.stack[rows][:, :, :q]
@@ -187,46 +205,72 @@ class AnalogEngine:
             return euclidean_distances(targets, comps)
         return procrustes_distances(targets, comps, scale_norm=self.scale_norm)
 
-    def _distances(self, cache: dict, key, rows: np.ndarray, state: ModelState) -> np.ndarray:
-        """Distances from the embeddings at ``rows`` to every candidate at the
-        state's q, computed once per ``key`` and mixed at the state's gamma."""
+    def _view(self, state: ModelState, t_initial: int | None) -> tuple:
+        """Sorted view for the training periods (``t_initial`` None) or for
+        one initial condition, built on the first use of its key."""
         combined = self.metric == "combined"
-        if key not in cache:
-            main = self._pairwise(self.lib, rows, state.q)
-            cache[key] = (main, self._pairwise(self.aux_lib, rows, state.q) if combined else None)
-        main, aux = cache[key]
-        return combined_distance(main, aux, state.gamma) if combined else main
+        key = (state.q, state.gamma if combined else None, t_initial)
+        view = self._views.pop(key, None)  # re-inserted below, so dict order is recency
+        if view is None:
+            view = self._build_view(state, t_initial)
+            if combined:
+                # gamma is continuous: keep only the most recently used entry
+                # one proposal away (the current state's) next to the new one.
+                near = [k for k in self._views if sum(a != b for a, b in zip(k, key)) == 1]
+                self._views = {k: self._views[k] for k in near[-1:]}
+        self._views[key] = view
+        return view
 
-    def _weighted_means(self, dist: np.ndarray, state: ModelState) -> np.ndarray:
+    def _build_view(self, state: ModelState, t_initial: int | None) -> tuple:
+        """(squared distances, candidate responses) of the m_max nearest
+        candidates per row, nearest first: (n_rows, k) and (p, n_rows, k).
+        Training rows exclude their own neighbourhood; a forecast row uses
+        the full pool."""
+        combined = self.metric == "combined"
+        if state.q > self.lib.q:
+            raise ConfigError(f"state q={state.q} exceeds library q_max={self.lib.q}")
+        if combined and state.gamma is None:
+            raise ConfigError("combined metric needs gamma in the state")
+        if t_initial is None:
+            rows, excl = self._train_rows, self._excl
+        else:
+            lo, hi = self.lib.first_valid, self.lib.n_time
+            if not lo <= t_initial <= hi:
+                raise ConfigError(
+                    f"initial condition {t_initial} lies outside the embedded span [{lo}, {hi}]"
+                )
+            rows, excl = np.asarray([t_initial - lo]), None
+        pair_key = (state.q, t_initial)
+        if pair_key not in self._pairs:
+            main = self._pairwise(self.lib, rows, state.q)
+            aux = self._pairwise(self.aux_lib, rows, state.q) if combined else None
+            self._pairs[pair_key] = (main, aux)
+        main, aux = self._pairs[pair_key]
+        dist = combined_distance(main, aux, state.gamma) if combined else main
+        if excl is not None:
+            dist = np.where(excl, np.inf, dist)
+        cols, d2 = sort_candidates(dist, self.m_max)
+        return d2, self.responses.values[:, self._cand_resp_cols[cols]]
+
+    def _weighted_means(self, state: ModelState, t_initial: int | None = None) -> np.ndarray:
         """(n_rows, p) kernel-weighted candidate responses, one row per
-        distance row."""
-        w, cols = topk_weights(dist, state.theta1, state.m)
-        picked = self.responses.values[:, self._cand_resp_cols[cols]]  # (p, n_rows, m)
-        return np.einsum("nm,pnm->np", w, picked)
+        training period or one for ``t_initial``."""
+        if state.m > self.m_max:
+            raise ConfigError(f"state m={state.m} exceeds the engine's m_max={self.m_max}")
+        d2, picked = self._view(state, t_initial)
+        m = state.m
+        w = sorted_weights(d2[:, :m], state.theta1)
+        return np.einsum("nm,pnm->np", w, picked[:, :, :m])
 
     def ssr(self, state: ModelState) -> float:
         """Total squared residual of the analog means at this state."""
-        self._check_state(state)
-        dist = self._distances(self._train_cache, state.q, self._train_rows, state)
-        dist = np.where(self._excl, np.inf, dist)
-        resid = self._targets - self._weighted_means(dist, state)
+        resid = self._targets - self._weighted_means(state)
         return float(np.sum(resid * resid))
 
     def predictive_mean(self, state: ModelState, t_initial: int) -> np.ndarray:
         """Analog mean forecast from initial condition ``t_initial`` using
         only candidates whose responses fall inside the training window."""
-        self._check_state(state)
-        row = np.asarray([t_initial - self.lib.first_valid])
-        if row[0] < 0:
-            raise ConfigError(f"initial condition {t_initial} has no embedding at q_max")
-        dist = self._distances(self._oos_cache, (state.q, t_initial), row, state)
-        return self._weighted_means(dist, state)[0]
-
-    def _check_state(self, state: ModelState) -> None:
-        if state.q > self.lib.q:
-            raise ConfigError(f"state q={state.q} exceeds library q_max={self.lib.q}")
-        if self.metric == "combined" and state.gamma is None:
-            raise ConfigError("combined metric needs gamma in the state")
+        return self._weighted_means(state, t_initial)[0]
 
 
 # --- Metropolis-within-Gibbs sub-steps -------------------------------------
@@ -447,7 +491,7 @@ def run_chain(
             f"priors allow q up to {priors.q_max} but library has q_max={lib.q}"
         )
     if ssr_fn is None:
-        engine = AnalogEngine(lib, responses, index, metric, scale_norm, aux_lib)
+        engine = AnalogEngine(lib, responses, index, metric, scale_norm, aux_lib, priors.m_max)
         ssr_fn = engine.ssr
         n_terms = engine.n_terms
     elif n_terms is None:
@@ -581,7 +625,7 @@ def _chain_row(row: list[str]) -> tuple:
 
 def load_chain(path: str) -> tuple[Chain, dict]:
     """Read a chain CSV plus sidecar; returns (chain, sidecar metadata)."""
-    meta = read_meta(path)
+    meta = read_meta(path, burn_in=int)
     header, pairs = read_table(path)
     if header[:7] != _CHAIN_HEADER:
         raise DataError(f"{path}:1: unexpected chain header")
@@ -601,7 +645,7 @@ def load_chain(path: str) -> tuple[Chain, dict]:
     chain = Chain(
         draws=draws,
         log_posts=log_posts,
-        burn_in=int(meta["burn_in"]),
+        burn_in=meta["burn_in"],
         accept_rates=meta.get("accept_rates", {}),
         seed=meta.get("seed"),
     )

@@ -135,8 +135,12 @@ def parse_rows(path: str, pairs: list[tuple[int, list[str]]], parse) -> list:
     return out
 
 
-def read_meta(path: str) -> dict:
-    """Read the JSON sidecar ``path + ".meta.json"`` of the table at ``path``."""
+def read_meta(path: str, **required: type) -> dict:
+    """Read the JSON sidecar ``path + ".meta.json"`` of the table at ``path``.
+
+    Each keyword names a key the sidecar must hold and the type of its
+    value (JSON true/false is never taken for a number).
+    """
     sidecar = path + ".meta.json"
     try:
         with open(sidecar) as fh:
@@ -147,6 +151,14 @@ def read_meta(path: str) -> dict:
         raise DataError(f"{sidecar}: invalid JSON ({e})") from None
     if not isinstance(meta, dict):
         raise DataError(f"{sidecar}: sidecar must hold a JSON object")
+    for key, kind in required.items():
+        if key not in meta:
+            raise DataError(f"{sidecar}: missing key {key!r}")
+        value = meta[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise DataError(
+                f"{sidecar}: key {key!r} must be {kind.__name__}, got {type(value).__name__}"
+            )
     return meta
 
 

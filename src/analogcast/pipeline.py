@@ -391,7 +391,8 @@ def _forecast_one(args: tuple) -> str:
             "config (hash mismatch); re-run train"
         )
     engine = AnalogEngine(
-        setup.lib, setup.alpha, setup.index, setup.metric, cfg.scale_norm, setup.aux_lib
+        setup.lib, setup.alpha, setup.index, setup.metric, cfg.scale_norm, setup.aux_lib,
+        setup.priors.m_max,
     )
     times = prep.response.times
     fds = []

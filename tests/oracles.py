@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from analogcast.basis import BasisSet, CoefficientSeries
-from analogcast.metric import euclidean_distances, procrustes_distances
+from analogcast.kernel import topk_weights
+from analogcast.metric import combined_distance, euclidean_distances, procrustes_distances
 
 
 def identity_series(values: np.ndarray, times=None) -> CoefficientSeries:
@@ -75,6 +76,52 @@ def analog_mean(state, lib, responses, t_initial: int, tau: int, candidates,
         if w > 0.0:
             mean += w * responses.values[:, t + tau - 1]
     return mean
+
+
+def full_distances(state, lib, index, t_initial=None, metric="procrustes",
+                   aux_lib=None) -> np.ndarray:
+    """The whole (rows x candidates) distance matrix at the state's q, built
+    from scratch: every training period with its own exclusions at +inf when
+    ``t_initial`` is None, else the one initial condition against the full
+    pool."""
+    q = state.q
+    if t_initial is None:
+        rows = index.training_periods - lib.first_valid
+    else:
+        rows = np.asarray([t_initial - lib.first_valid])
+    comps = index.candidates - lib.first_valid
+
+    def pairwise(library):
+        t, c = library.stack[rows][:, :, :q], library.stack[comps][:, :, :q]
+        if metric == "euclidean":
+            return euclidean_distances(t, c)
+        return procrustes_distances(t, c)
+
+    dist = pairwise(lib)
+    if metric == "combined":
+        dist = combined_distance(dist, pairwise(aux_lib), state.gamma)
+    if t_initial is None:
+        dist = np.where(index.exclusion_mask(), np.inf, dist)
+    return dist
+
+
+def full_sort_means(state, lib, responses, index, t_initial=None, metric="procrustes",
+                    aux_lib=None) -> np.ndarray:
+    """(rows, p) analog means with a full row sort on every call: the whole
+    distance matrix, ``topk_weights`` over it, then the weighted sum of
+    candidate responses.  The engine's sorted views must equal it bit for
+    bit."""
+    dist = full_distances(state, lib, index, t_initial, metric, aux_lib)
+    w, cols = topk_weights(dist, state.theta1, state.m)
+    picked = responses.values[:, index.candidates[cols] + index.tau - 1]  # (p, rows, m)
+    return np.einsum("nm,pnm->np", w, picked)
+
+
+def full_sort_ssr(state, lib, responses, index, metric="procrustes", aux_lib=None) -> float:
+    """Total squared residual of ``full_sort_means`` over the training periods."""
+    targets = responses.values[:, index.training_periods + index.tau - 1].T
+    resid = targets - full_sort_means(state, lib, responses, index, None, metric, aux_lib)
+    return float(np.sum(resid * resid))
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 60):

@@ -24,7 +24,13 @@ from analogcast.bayes import (
 )
 from analogcast.embedding import build_library, build_training_index
 from analogcast.errors import ConfigError, DataError, NumericError
-from oracles import analog_mean, identity_series
+from oracles import (
+    analog_mean,
+    full_distances,
+    full_sort_means,
+    full_sort_ssr,
+    identity_series,
+)
 
 
 def _setup(seed=0, T=60, p_x=2, p_y=3, lag=1, q_max=4, tau=2):
@@ -129,7 +135,7 @@ _METRIC_CASES = [
 ]
 
 
-def _engine(metric, seed, T):
+def _engine(metric, seed, T, radius=0, m_max=None):
     """Engine on random data with one constant forcing stretch, so the
     embedding at position 14 (and its column prefixes near it) is
     degenerate and Procrustes puts it at infinite distance."""
@@ -139,9 +145,10 @@ def _engine(metric, seed, T):
     forcing = identity_series(values)
     responses = identity_series(rng.normal(size=(3, T)))
     lib = build_library(forcing, 1, 4)
-    index = build_training_index(lib, lib.first_valid, T - 2, 2)
+    index = build_training_index(lib, lib.first_valid, T - 2, 2, radius)
     aux_lib = build_library(responses, 1, 4) if metric == "combined" else None
-    return AnalogEngine(lib, responses, index, metric, aux_lib=aux_lib), lib, responses, index
+    eng = AnalogEngine(lib, responses, index, metric, aux_lib=aux_lib, m_max=m_max)
+    return eng, lib, responses, index
 
 
 def test_engine_ssr_decomposes_over_training_periods():
@@ -176,6 +183,73 @@ def test_predictive_mean_uses_full_candidate_pool():
             assert np.allclose(got, want, atol=1e-12), (metric, gamma, t_init)
         with pytest.raises(ConfigError):
             eng.predictive_mean(replace(state, q=9), index.t_end)
+        for t_init in (lib.first_valid - 1, lib.n_time + 1, lib.n_time + 10):
+            with pytest.raises(ConfigError, match="initial condition"):
+                eng.predictive_mean(state, t_init)
+
+
+def test_sorted_views_match_the_full_sort_oracle_bit_for_bit():
+    # Random states in random order, so views are built, hit and (under
+    # the combined metric) evicted; every residual and forecast must equal
+    # the full-sort path exactly, also where m reaches m_max or covers
+    # every finite candidate and the rest of the support is at +inf.
+    rng = np.random.default_rng(21)
+    checked = 0
+    for metric in ("procrustes", "euclidean", "combined"):
+        for radius in (0, 2):
+            for m_max in (6, None):  # None: the whole candidate pool
+                eng, lib, responses, index = _engine(metric, 22, 40, radius, m_max)
+                for _ in range(45):
+                    gamma = float(rng.choice([0.0, 0.4, 1.0, rng.random()]))
+                    state = ModelState(
+                        theta1=math.exp(rng.normal(0.0, 1.5)), m=1, q=int(rng.integers(1, 5)),
+                        sigma2=1.0, gamma=gamma if metric == "combined" else None,
+                    )
+                    m_choices = [eng.m_max, int(rng.integers(1, eng.m_max + 1))]
+                    if m_max is None:  # every finite candidate of the sparsest row
+                        dist = full_distances(state, lib, index, None, metric, eng.aux_lib)
+                        m_choices.append(int(np.isfinite(dist).sum(axis=1).min()))
+                    state = replace(state, m=int(rng.choice(m_choices)))
+                    t_init = int(rng.choice([14, index.t_end, rng.integers(lib.first_valid, 41)]))
+                    args = (lib, responses, index)
+                    assert eng.ssr(state) == full_sort_ssr(state, *args, metric, eng.aux_lib)
+                    assert np.array_equal(
+                        eng.predictive_mean(state, t_init),
+                        full_sort_means(state, *args, t_init, metric, eng.aux_lib)[0],
+                    )
+                    checked += 1
+    assert checked >= 500
+
+
+def test_engine_cache_bounds():
+    eng, lib, responses, index = _engine("procrustes", 23, 40, m_max=5)
+    state = ModelState(theta1=0.8, m=5, q=3, sigma2=1.0)
+    eng.ssr(state)
+    for bad in (replace(state, m=6), replace(state, q=lib.q + 1)):
+        for _ in range(2):  # a failed build is not cached, so it fails again
+            with pytest.raises(ConfigError):
+                eng.ssr(bad)
+            with pytest.raises(ConfigError):
+                eng.predictive_mean(bad, index.t_end)
+    # A BA4 chain moves gamma continuously; the engine keeps the current
+    # (q, gamma) view and the last proposed one, so a sweep builds at most
+    # two views (the q and gamma proposals) and the theta1 and m steps hit.
+    eng, lib, responses, index = _engine("combined", 24, 40, m_max=6)
+    builds = []
+    build = eng._build_view
+    eng._build_view = lambda *a: builds.append(a) or build(*a)
+    priors = PriorConfig(m_max=6, q_max=4, with_gamma=True)
+    chain = run_chain(
+        lib, responses, index, priors, iterations=200, burn_in=20, seed=25,
+        ssr_fn=eng.ssr, n_terms=eng.n_terms,
+    )
+    assert len(eng._views) <= 2
+    assert len(builds) <= 1 + 2 * 200
+    own = run_chain(
+        lib, responses, index, priors, iterations=200, burn_in=20, seed=25,
+        metric="combined", aux_lib=eng.aux_lib,
+    )
+    assert all(np.array_equal(chain.draws[k], own.draws[k]) for k in chain.draws)
 
 
 def test_run_chain_mechanics_and_reproducibility():

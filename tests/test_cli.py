@@ -192,3 +192,25 @@ def test_malformed_artifact_exits_3(tmp_path, capsys, forecast_run, stage, rel, 
     path.write_text("".join(lines))
     assert main([stage, "--config", cfg_path]) == 3
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["missing key", "wrong type"])
+@pytest.mark.parametrize(
+    "rel, key, wrong",
+    [("bases/psi_r1_l1.csv", "kind", 10), ("chains/chain_r1_l1.csv", "burn_in", "ten")],
+)
+def test_sidecar_without_a_valid_field_exits_3(
+    tmp_path, capsys, forecast_run, rel, key, wrong, damage
+):
+    shutil.copytree(forecast_run, tmp_path / "out")
+    cfg_path = _write_config(tmp_path)
+    sidecar = tmp_path / "out" / (rel + ".meta.json")
+    meta = json.loads(sidecar.read_text())
+    if damage == "missing key":
+        del meta[key]
+    else:
+        meta[key] = wrong
+    sidecar.write_text(json.dumps(meta))
+    assert main(["forecast", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert str(sidecar) in err and repr(key) in err

@@ -10,17 +10,25 @@ sampler: the noise variance has a conjugate inverse-gamma draw, theta1
 moves by a random walk on its log, m and q take reflected unit steps,
 gamma a reflected uniform step.
 
-Distances never depend on theta1 or m, so ``AnalogEngine`` computes the
-(train x candidate) distance matrix once per q (embeddings at smaller q
-are column prefixes of the q_max library) and sorts it once per q, or per
-(q, gamma) under the combined metric: the view keeps the squared
-distances and candidate responses of the m_max nearest candidates of each
-training period, its own exclusions folded in.  A residual is then an exp
-and a weighted sum over the first m columns; the state and the distances
-are checked once, when the view is built.  Gamma is continuous, so under
-the combined metric only the current and the last proposed views are
-kept.  Forecasts from one initial condition go through the same views,
-keyed by (q, gamma, initial time).
+Distances never depend on theta1 or m.  A ``DistanceStore`` owns the raw
+(target x candidate) distance matrices: one per (library content, target
+rows, q, metric, scale norm), built on first use (embeddings at smaller q
+are column prefixes of the q_max library).  Its columns cover the widest
+candidate pool it serves, and each engine reads a column prefix, so every
+chain over the same forcing library shares every matrix.  The pipeline
+makes one store per stage and process; it keeps only the most recently
+used library of each role (main, and the combined metric's auxiliary
+side), and an engine built without a store makes its own.
+
+``AnalogEngine`` sorts each matrix once per q, or per (q, gamma) under the
+combined metric: the view keeps the squared distances and candidate
+responses of the m_max nearest candidates of each training period, its
+own exclusions folded in.  A residual is then an exp and a weighted sum
+over the first m columns; the state and the distances are checked once,
+when the view is built.  Gamma is continuous, so under the combined
+metric only the current and the last proposed views are kept.  Forecasts
+from one initial condition go through the same views, keyed by (q, gamma,
+initial time), and their distances are single-row matrices.
 
 A ``Chain`` keeps its trace by column, one array per sampled parameter
 over all iterations (gamma only when the state carries one), and
@@ -30,6 +38,7 @@ rebuilds ``ModelState``s where the engine needs them.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -130,6 +139,49 @@ def gaussian_loglik(ssr: float, n_terms: int, sigma2: float) -> float:
     return -0.5 * n_terms * math.log(2.0 * math.pi * sigma2) - ssr / (2.0 * sigma2)
 
 
+def _library_digest(lib: EmbeddingLibrary) -> bytes:
+    stack = np.ascontiguousarray(lib.stack)
+    return hashlib.sha256(repr((stack.dtype.str, stack.shape)).encode() + stack.tobytes()).digest()
+
+
+class DistanceStore:
+    """Raw distance matrices shared by the engines of one stage.
+
+    A matrix holds the distances from some target rows of a library to its
+    first ``n_cols`` entries, the widest candidate pool the store serves;
+    every pool starts at the library's first entry, so an engine reads a
+    column prefix.  It is keyed by a digest of the library's values and the
+    target rows, never by (region, lead), so two libraries that differ in
+    any value never share a matrix.  Only the most recently used library
+    of each role ("main", "aux") keeps its matrices.
+    """
+
+    def __init__(self, n_cols: int):
+        self.n_cols = n_cols
+        self._held: dict[str, tuple[bytes, dict]] = {}  # role -> (library digest, matrices)
+
+    # Private, like `AnalogEngine._build_view`, so that a trace puts each
+    # build under the engine call (``ssr`` or ``predictive_mean``) that
+    # needed it.
+    def _matrix(
+        self, role: str, lib: EmbeddingLibrary, digest: bytes, rows: np.ndarray,
+        q: int, metric: str, scale_norm: str,
+    ) -> np.ndarray:
+        held, matrices = self._held.get(role, (None, None))
+        if held != digest:
+            matrices = {}
+            self._held[role] = (digest, matrices)
+        key = (rows.tobytes(), q, metric, scale_norm)
+        if key not in matrices:
+            targets = lib.stack[rows][:, :, :q]
+            comps = lib.stack[: self.n_cols, :, :q]
+            if metric == "euclidean":
+                matrices[key] = euclidean_distances(targets, comps)
+            else:
+                matrices[key] = procrustes_distances(targets, comps, scale_norm=scale_norm)
+        return matrices[key]
+
+
 class AnalogEngine:
     """Sorts candidates once per distance key and evaluates residuals for
     one training setup.
@@ -150,6 +202,9 @@ class AnalogEngine:
     m_max : int, optional
         Largest m a state may ask for (default: the candidate pool size);
         each sorted view keeps that many columns.
+    store : DistanceStore, optional
+        Where the raw distance matrices live (default: a store of the
+        engine's own).
     """
 
     def __init__(
@@ -161,6 +216,7 @@ class AnalogEngine:
         scale_norm: str = "centered",
         aux_lib: EmbeddingLibrary | None = None,
         m_max: int | None = None,
+        store: DistanceStore | None = None,
     ):
         if metric not in METRICS:
             raise ConfigError(f"unknown metric {metric!r} (use one of {METRICS})")
@@ -181,6 +237,10 @@ class AnalogEngine:
             m_max = index.candidates.size
         if m_max < 1:
             raise ConfigError(f"m_max must be >= 1, got {m_max}")
+        if store is None:
+            store = DistanceStore(index.candidates.size)
+        if index.candidates[0] != lib.first_valid or index.candidates.size > store.n_cols:
+            raise ConfigError("candidate pool is not a column prefix of the distance store")
         self.lib = lib
         self.responses = responses
         self.index = index
@@ -194,16 +254,20 @@ class AnalogEngine:
         self._cand_resp_cols = index.candidates + index.tau - 1
         self._excl = index.exclusion_mask()
         self._train_rows = index.training_periods - lib.first_valid
-        self._cand_rows = index.candidates - lib.first_valid
-        self._pairs: dict[tuple, tuple] = {}  # (q, t_initial) -> (main, aux) distances
+        self._store = store
+        self._libs = {  # role -> (library, digest of its values)
+            role: (source, _library_digest(source))
+            for role, source in (("main", lib), ("aux", aux_lib))
+            if source is not None
+        }
         self._views: dict[tuple, tuple] = {}  # (q, gamma, t_initial) -> sorted view
 
-    def _pairwise(self, lib: EmbeddingLibrary, rows: np.ndarray, q: int) -> np.ndarray:
-        targets = lib.stack[rows][:, :, :q]
-        comps = lib.stack[self._cand_rows][:, :, :q]
-        if self.metric == "euclidean":
-            return euclidean_distances(targets, comps)
-        return procrustes_distances(targets, comps, scale_norm=self.scale_norm)
+    def _distances(self, role: str, rows: np.ndarray, q: int) -> np.ndarray:
+        """Raw distances from ``rows`` of the role's library to this
+        engine's candidate pool, a column prefix of the store's matrix."""
+        kind = "euclidean" if self.metric == "euclidean" else "procrustes"
+        matrix = self._store._matrix(role, *self._libs[role], rows, q, kind, self.scale_norm)
+        return matrix[:, : self.index.candidates.size]
 
     def _view(self, state: ModelState, t_initial: int | None) -> tuple:
         """Sorted view for the training periods (``t_initial`` None) or for
@@ -240,13 +304,9 @@ class AnalogEngine:
                     f"initial condition {t_initial} lies outside the embedded span [{lo}, {hi}]"
                 )
             rows, excl = np.asarray([t_initial - lo]), None
-        pair_key = (state.q, t_initial)
-        if pair_key not in self._pairs:
-            main = self._pairwise(self.lib, rows, state.q)
-            aux = self._pairwise(self.aux_lib, rows, state.q) if combined else None
-            self._pairs[pair_key] = (main, aux)
-        main, aux = self._pairs[pair_key]
-        dist = combined_distance(main, aux, state.gamma) if combined else main
+        dist = self._distances("main", rows, state.q)
+        if combined:
+            dist = combined_distance(dist, self._distances("aux", rows, state.q), state.gamma)
         if excl is not None:
             dist = np.where(excl, np.inf, dist)
         cols, d2 = sort_candidates(dist, self.m_max)
@@ -476,11 +536,13 @@ def run_chain(
     init: ModelState | None = None,
     ssr_fn=None,
     n_terms: int | None = None,
+    store: DistanceStore | None = None,
 ) -> Chain:
     """Run the Metropolis-within-Gibbs sampler and keep the whole trace.
 
-    ``ssr_fn``/``n_terms`` default to the analog engine on the given data;
-    tests may override them (e.g. constants) to sample the priors alone.
+    ``ssr_fn``/``n_terms`` default to the analog engine on the given data,
+    reading its distances from ``store``; tests may override them (e.g.
+    constants) to sample the priors alone.
     """
     if iterations <= burn_in:
         raise ConfigError(
@@ -491,7 +553,9 @@ def run_chain(
             f"priors allow q up to {priors.q_max} but library has q_max={lib.q}"
         )
     if ssr_fn is None:
-        engine = AnalogEngine(lib, responses, index, metric, scale_norm, aux_lib, priors.m_max)
+        engine = AnalogEngine(
+            lib, responses, index, metric, scale_norm, aux_lib, priors.m_max, store
+        )
         ssr_fn = engine.ssr
         n_terms = engine.n_terms
     elif n_terms is None:

@@ -105,6 +105,12 @@ class TrainingIndex:
         return diff <= self.exclusion_radius
 
 
+def candidate_pool_size(lag: int, q_max: int, t_end: int, tau: int) -> int:
+    """Size of the shared candidate pool, positions lag*(q_max - 1) + 1
+    through t_end - tau; it shrinks as the lead tau grows."""
+    return t_end - tau - lag * (q_max - 1)
+
+
 def build_training_index(
     lib: EmbeddingLibrary,
     t_start: int,
@@ -129,14 +135,14 @@ def build_training_index(
         raise ConfigError(
             f"t_end={t_end} + tau={tau} runs past the series end {lib.n_time}"
         )
-    cand_hi = t_end - tau
-    if cand_hi < base_lo:
+    n_cand = candidate_pool_size(lib.lag, lib.q, t_end, tau)
+    if n_cand < 1:
         raise ConfigError(
-            f"no candidates: t_end - tau = {cand_hi} is below {base_lo}"
+            f"no candidates: t_end - tau = {t_end - tau} is below {base_lo}"
         )
     index = TrainingIndex(
         training_periods=np.arange(t_start, t_end + 1),
-        candidates=np.arange(base_lo, cand_hi + 1),
+        candidates=np.arange(base_lo, base_lo + n_cand),
         t_start=t_start,
         t_end=t_end,
         tau=tau,

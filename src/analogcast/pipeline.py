@@ -16,9 +16,14 @@ other stage checks a hash.  Every artifact is written through
 ``data.write_table`` (atomically, so an interrupted stage leaves the old
 file or none), and a missing, empty, cut-off or unparsable artifact raises
 ``DataError`` (CLI exit 3).  Each train and forecast stage loads its inputs
-once and hands them to every (region, lead) task.  All worker seeds are
-derived from (seed, stage, region, lead), so results do not depend on how
-tasks are scheduled across processes.
+once and hands them to every (region, lead) task.  Each process of a stage
+(the stage itself, or each pool worker with ``jobs`` > 1) makes one
+``DistanceStore`` that its tasks share and that ends with the stage.
+Tasks run region-major, so chains over one forcing library (every task
+under BA1 and BA4, the leads of a region under BA2) build each distance
+matrix once in a process.  Every store spans the stage's widest candidate
+pool, and all worker seeds are derived from (seed, stage, region, lead),
+so results do not depend on how tasks are scheduled across processes.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .basis import (
 )
 from .bayes import (
     AnalogEngine,
+    DistanceStore,
     PriorConfig,
     SamplerConfig,
     load_chain,
@@ -70,7 +76,7 @@ from .data import (
     to_anomalies,
     write_table,
 )
-from .embedding import build_library, build_training_index
+from .embedding import build_library, build_training_index, candidate_pool_size
 from .errors import ConfigError, DataError
 from .scores import ScoreCard, ScoreRow, score_forecasts
 
@@ -328,7 +334,7 @@ def build_setup(cfg: RunConfig, prep: Prepared, region: int, lead: int) -> Regio
     )
 
 
-def _train_one(args: tuple) -> str:
+def _train_one(args: tuple, store: DistanceStore) -> str:
     cfg, prep, region, lead = args
     setup = build_setup(cfg, prep, region, lead)
     chain = run_chain(
@@ -343,6 +349,7 @@ def _train_one(args: tuple) -> str:
         scale_norm=cfg.scale_norm,
         aux_lib=setup.aux_lib,
         config=setup.sampler,
+        store=store,
     )
     path = path_chain(cfg, region, lead)
     save_chain(
@@ -355,20 +362,37 @@ def _train_one(args: tuple) -> str:
     return path
 
 
+_worker_store: DistanceStore | None = None  # a pool worker's store, set by _start_worker
+
+
+def _start_worker(n_cols: int) -> None:
+    global _worker_store
+    _worker_store = DistanceStore(n_cols)
+
+
+def _in_worker(worker, task):
+    return worker(task, _worker_store)
+
+
 def _run_tasks(cfg: RunConfig, worker) -> list:
-    """Load the inputs once and run ``worker`` on every (region, lead) task."""
+    """Load the inputs once and run ``worker(task, store)`` on every
+    (region, lead) task, with one distance store per process."""
     prep = load_prepared(cfg)
     tasks = [
         (cfg, prep, region, lead)
         for region in range(1, prep.partition.n_regions + 1)
         for lead in cfg.leads
     ]
+    n_cols = candidate_pool_size(cfg.lag, cfg.q_max, prep.train_end, min(cfg.leads))
     jobs = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
     jobs = max(1, min(jobs, len(tasks)))
     if jobs == 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+        store = DistanceStore(n_cols)
+        return [worker(t, store) for t in tasks]
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=_start_worker, initargs=(n_cols,)
+    ) as pool:
+        return list(pool.map(_in_worker, [worker] * len(tasks), tasks))
 
 
 def stage_train(cfg: RunConfig) -> list[str]:
@@ -381,7 +405,7 @@ def stage_train(cfg: RunConfig) -> list[str]:
 _SPATIAL_HEADER = ["target_time", "forecast_mean", "lo", "hi"]
 
 
-def _forecast_one(args: tuple) -> str:
+def _forecast_one(args: tuple, store: DistanceStore) -> str:
     cfg, prep, region, lead = args
     setup = build_setup(cfg, prep, region, lead)
     chain, meta = load_chain(path_chain(cfg, region, lead))
@@ -392,7 +416,7 @@ def _forecast_one(args: tuple) -> str:
         )
     engine = AnalogEngine(
         setup.lib, setup.alpha, setup.index, setup.metric, cfg.scale_norm, setup.aux_lib,
-        setup.priors.m_max,
+        setup.priors.m_max, store,
     )
     times = prep.response.times
     fds = []

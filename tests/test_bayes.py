@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from analogcast import bayes
 from analogcast.basis import BasisSet
 from analogcast.bayes import (
     AnalogEngine,
     Chain,
+    DistanceStore,
     ModelState,
     PriorConfig,
     SamplerConfig,
@@ -250,6 +252,92 @@ def test_engine_cache_bounds():
         metric="combined", aux_lib=eng.aux_lib,
     )
     assert all(np.array_equal(chain.draws[k], own.draws[k]) for k in chain.draws)
+
+
+def _count_builds(monkeypatch) -> list:
+    """Record the targets, the shapes and the metric of every distance
+    matrix the engines build from now on."""
+    builds = []
+    for name in ("procrustes_distances", "euclidean_distances"):
+        fn = getattr(bayes, name)
+
+        def counted(targets, comps, *args, _fn=fn, _name=name, **kwargs):
+            builds.append((targets.tobytes(), targets.shape, comps.shape, _name))
+            return _fn(targets, comps, *args, **kwargs)
+
+        monkeypatch.setattr(bayes, name, counted)
+    return builds
+
+
+def test_shared_store_equals_private_engines_bit_for_bit(monkeypatch):
+    # Chains at two leads share the training periods and the forcing
+    # library; the lead-1 pool is the wider one.  Through one store, in
+    # either order, every chain and forecast equals the one a private
+    # engine gives, and each (library, q, rows) matrix is built once.
+    rng = np.random.default_rng(31)
+    values = rng.normal(size=(2, 44))
+    values[:, 10:14] = 0.7  # degenerate embeddings at +inf Procrustes distance
+    forcing = identity_series(values)
+    responses = identity_series(rng.normal(size=(3, 44)))
+    lib = build_library(forcing, 1, 4)
+    indexes = {tau: build_training_index(lib, lib.first_valid, 41, tau) for tau in (1, 3)}
+    width = indexes[1].candidates.size
+    assert indexes[3].candidates.size < width
+    sampler = SamplerConfig(mq_proposal="uniform")
+    priors = PriorConfig(m_max=6, q_max=4)
+    for metric, gamma in _METRIC_CASES:
+        aux_lib = build_library(responses, 1, 4) if metric == "combined" else None
+        init = ModelState(theta1=1.0, m=3, q=3, sigma2=1.0, gamma=gamma)
+
+        def chains_and_means(tau, store=None):
+            index = indexes[tau]
+            chain = run_chain(
+                lib, responses, index, priors, iterations=40, burn_in=5, seed=tau,
+                metric=metric, aux_lib=aux_lib, config=sampler, init=init, store=store,
+            )
+            eng = AnalogEngine(lib, responses, index, metric, aux_lib=aux_lib, store=store)
+            means = [eng.predictive_mean(s, t) for s in chain.retained(7) for t in (14, 41, 42)]
+            return chain, means
+
+        private = {tau: chains_and_means(tau) for tau in (1, 3)}
+        for order in ((3, 1), (1, 3)):
+            builds = _count_builds(monkeypatch)
+            store = DistanceStore(width)
+            for tau in order:
+                chain, means = chains_and_means(tau, store)
+                want_chain, want_means = private[tau]
+                for k, col in want_chain.draws.items():
+                    assert np.array_equal(chain.draws[k], col), (metric, gamma, order, k)
+                assert np.array_equal(chain.log_posts, want_chain.log_posts)
+                assert all(np.array_equal(a, b) for a, b in zip(means, want_means))
+            assert len(builds) == len(set(builds)), (metric, gamma, order)
+            assert {b[2][0] for b in builds} == {width}
+            monkeypatch.undo()
+
+
+def test_distance_store_keys_by_content_and_keeps_one_library_per_role(monkeypatch):
+    _, responses, lib_a, index = _setup(seed=12, T=40)
+    _, _, lib_b, _ = _setup(seed=13, T=40)
+    copy_a = replace(lib_a, stack=lib_a.stack.copy())
+    state = ModelState(theta1=0.7, m=4, q=3, sigma2=1.0)
+    want = {
+        name: AnalogEngine(lib, responses, index).ssr(state)
+        for name, lib in (("a", lib_a), ("b", lib_b))
+    }
+    builds = _count_builds(monkeypatch)
+    store = DistanceStore(index.candidates.size)
+    for name, lib, built in (("a", lib_a, 1), ("a", copy_a, 1), ("b", lib_b, 2), ("a", lib_a, 3)):
+        assert AnalogEngine(lib, responses, index, store=store).ssr(state) == want[name]
+        assert len(builds) == built, name  # an equal copy hits; a new library evicts the old
+        assert len(store._held) == 1
+    # The combined metric holds one library per role.
+    aux_lib = build_library(responses, 1, 4)
+    eng = AnalogEngine(lib_a, responses, index, "combined", aux_lib=aux_lib, store=store)
+    eng.ssr(replace(state, gamma=0.5))
+    assert set(store._held) == {"main", "aux"} and len(builds) == 4
+    # A pool wider than the store is refused.
+    with pytest.raises(ConfigError, match="column prefix"):
+        AnalogEngine(lib_a, responses, index, store=DistanceStore(index.candidates.size - 1))
 
 
 def test_run_chain_mechanics_and_reproducibility():

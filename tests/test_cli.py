@@ -119,6 +119,26 @@ def test_same_seed_reruns_are_byte_identical(tmp_path):
     assert fc_a == fc_b
 
 
+def test_jobs_do_not_change_outputs(tmp_path):
+    # Each process shares distances among its own tasks, so with two jobs
+    # the chains see other sharing than with one; the files must not change.
+    trees = []
+    for jobs in (1, 2):
+        (tmp_path / str(jobs)).mkdir()
+        cfg_path = _write_config(
+            tmp_path / str(jobs), jobs=jobs, synth_regions_x=2, leads=[1, 3], iterations=40
+        )
+        _run_all(cfg_path)
+        out = tmp_path / str(jobs) / "out"
+        trees.append({
+            str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
+        })
+    one, two = trees
+    for rel in ("chains/chain_r2_l3.csv", "forecasts/fc_r2_l3.csv", "scorecard.csv"):
+        assert rel in one
+    assert one == two
+
+
 def test_stale_chain_hash_blocks_forecast(tmp_path, capsys):
     cfg_path = _write_config(tmp_path)
     _run_all(cfg_path, stages=("synth", "basis", "train"))

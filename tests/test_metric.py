@@ -131,6 +131,25 @@ def test_procrustes_batch_matches_scalar():
                 assert abs(batch[i, j] - d) < 1e-10
 
 
+def test_column_prefix_of_a_batch_is_bit_identical():
+    # Engines read their candidate pool as a column prefix of a matrix
+    # built for a wider pool.  Euclidean distances against a single column
+    # may differ in the last bit, so prefixes start at two columns there.
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(60, 5, 8))
+    stack[20:24] = 0.3  # degenerate embeddings: +inf Procrustes columns
+    targets = stack[10:50]
+    cases = [(euclidean_distances, 2, {})] + [
+        (procrustes_distances, 1, {"scale_norm": norm}) for norm in ("centered", "raw")
+    ]
+    for fn, narrowest, kwargs in cases:
+        for q in (2, 5, 8):
+            full = fn(targets[:, :, :q], stack[:, :, :q], **kwargs)
+            for width in (59, 41, 23, narrowest):
+                part = fn(targets[:, :, :q], stack[:width, :, :q], **kwargs)
+                assert np.array_equal(part, full[:, :width]), (fn.__name__, q, width)
+
+
 def test_procrustes_random_pairs_stay_in_guard_band():
     # The normalizer gives no hard upper bound; empirically the value
     # stays under 1.2 at the operative embedding shape (12 patterns, 12

@@ -88,12 +88,28 @@ class CoefficientSeries:
         return self.values.shape[1]
 
 
-def _fix_signs(u: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column positive."""
+def _column_signs(u: np.ndarray) -> np.ndarray:
+    """+-1 per column, the sign that makes its largest-magnitude entry positive."""
     idx = np.argmax(np.abs(u), axis=0)
     signs = np.sign(u[idx, np.arange(u.shape[1])])
     signs[signs == 0] = 1.0
-    return u * signs
+    return signs
+
+
+def _leading_patterns(values: np.ndarray, p: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The p leading left singular vectors of ``values``, sign-fixed, and
+    their shares of the total variance.  Warns when the p-th singular value
+    is numerically zero relative to the first."""
+    u, s, _ = np.linalg.svd(values, full_matrices=False)
+    total = float(np.sum(s**2))
+    if total == 0.0:
+        raise NumericError(f"{what} is identically zero")
+    if s[p - 1] < _RANK_TOL * max(s[0], 1.0):
+        warnings.warn(
+            f"{what} is rank deficient: pattern {p} has ~zero variance", stacklevel=3
+        )
+    patterns = u[:, :p]
+    return patterns * _column_signs(patterns), s[:p] ** 2 / total
 
 
 def _check_p(p: int, n_rows: int, n_time: int) -> None:
@@ -113,21 +129,8 @@ def compute_eof(f: FieldSeries, p: int) -> BasisSet:
     numerically zero relative to the first.
     """
     _check_p(p, f.n_loc, f.n_time)
-    u, s, _ = np.linalg.svd(f.values, full_matrices=False)
-    total = float(np.sum(s**2))
-    if total == 0.0:
-        raise NumericError("anomaly matrix is identically zero")
-    if s[p - 1] < _RANK_TOL * max(s[0], 1.0):
-        warnings.warn(
-            f"anomaly matrix is rank deficient: pattern {p} has ~zero variance",
-            stacklevel=2,
-        )
-    return BasisSet(
-        matrix=_fix_signs(u[:, :p]),
-        coords=f.coords,
-        kind="eof",
-        explained_variance=s[:p] ** 2 / total,
-    )
+    matrix, explained = _leading_patterns(f.values, p, "anomaly matrix")
+    return BasisSet(matrix=matrix, coords=f.coords, kind="eof", explained_variance=explained)
 
 
 def compute_meof(forcing: FieldSeries, response: FieldSeries, p: int) -> BasisSet:
@@ -141,17 +144,12 @@ def compute_meof(forcing: FieldSeries, response: FieldSeries, p: int) -> BasisSe
     if sd_f == 0.0 or sd_r == 0.0:
         raise NumericError("cannot standardize a zero-variance field for MEOF")
     stacked = np.vstack([forcing.values / sd_f, response.values / sd_r])
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    if s[p - 1] < _RANK_TOL * max(s[0], 1.0):
-        warnings.warn(
-            f"stacked anomaly matrix is rank deficient: pattern {p} has ~zero variance",
-            stacklevel=2,
-        )
+    matrix, explained = _leading_patterns(stacked, p, "stacked anomaly matrix")
     return BasisSet(
-        matrix=_fix_signs(u[:, :p]),
+        matrix=matrix,
         coords=np.vstack([forcing.coords, response.coords]),
         kind="meof",
-        explained_variance=s[:p] ** 2 / float(np.sum(s**2)),
+        explained_variance=explained,
         n_forcing_rows=forcing.n_loc,
     )
 
@@ -175,14 +173,6 @@ def split_block(b: BasisSet, which: str) -> BasisSet:
         kind=b.kind,
         block=which,
     )
-
-
-@dataclass(frozen=True)
-class CCAResult:
-    forcing_basis: BasisSet
-    response_basis: BasisSet
-    correlations: np.ndarray
-    ridged: bool
 
 
 def _inv_sqrt_psd(c: np.ndarray, label: str) -> tuple[np.ndarray, bool]:
@@ -231,9 +221,7 @@ def cca_from_coefficients(
     u, s, vt = np.linalg.svd(wxx @ cxy @ wyy)
     wx = wxx @ u[:, :p]
     wy = wyy @ vt[:p].T
-    idx = np.argmax(np.abs(wx), axis=0)
-    signs = np.sign(wx[idx, np.arange(p)])
-    signs[signs == 0] = 1.0
+    signs = _column_signs(wx)
     return wx * signs, wy * signs, np.clip(s[:p], 0.0, 1.0), r1 or r2
 
 
@@ -243,11 +231,12 @@ def compute_cca(
     lead: int,
     p_pre: int,
     p: int,
-) -> CCAResult:
+) -> tuple[BasisSet, BasisSet]:
     """Lagged CCA patterns: forcing at t paired with response at t + lead.
 
     Both fields are first reduced to p_pre EOF coefficients; the returned
-    patterns are each EOF basis times its canonical weight matrix.
+    (forcing, response) patterns are each EOF basis times its canonical
+    weight matrix, and both carry the canonical correlations.
     """
     if lead < 0:
         raise ConfigError(f"lead must be >= 0, got {lead}")
@@ -263,23 +252,9 @@ def compute_cca(
     wx, wy, corrs, ridged = cca_from_coefficients(
         bx[:, :n_pairs], ay[:, lead:], p
     )
-    return CCAResult(
-        forcing_basis=BasisSet(
-            matrix=eof_f.matrix @ wx,
-            coords=forcing.coords,
-            kind="cca",
-            correlations=corrs,
-            ridged=ridged,
-        ),
-        response_basis=BasisSet(
-            matrix=eof_r.matrix @ wy,
-            coords=response.coords,
-            kind="cca",
-            correlations=corrs,
-            ridged=ridged,
-        ),
-        correlations=corrs,
-        ridged=ridged,
+    return (
+        BasisSet(eof_f.matrix @ wx, forcing.coords, "cca", correlations=corrs, ridged=ridged),
+        BasisSet(eof_r.matrix @ wy, response.coords, "cca", correlations=corrs, ridged=ridged),
     )
 
 
@@ -295,15 +270,6 @@ def project(f: FieldSeries, b: BasisSet) -> CoefficientSeries:
             f"basis columns are linearly dependent (rank {rank} < p {b.p})"
         )
     return CoefficientSeries(values=coeffs, times=f.times, basis=b)
-
-
-def reconstruct(c: CoefficientSeries) -> FieldSeries:
-    """Map coefficients back to the field grid of their basis."""
-    return FieldSeries(
-        values=c.basis.matrix @ c.values,
-        coords=c.basis.coords,
-        times=c.times,
-    )
 
 
 def save_basis(b: BasisSet, path: str) -> None:

@@ -6,9 +6,10 @@ around sum_l w(B_t, B_l) * alpha_{l + tau}, where B are delay embeddings
 of forcing coefficients and w is the truncated Gaussian kernel over the
 m nearest candidates.  Tuning parameters (theta1, m, q, noise variance,
 and optionally the distance mix gamma) get a Metropolis-within-Gibbs
-sampler: the noise variance has a conjugate inverse-gamma draw, theta1
-moves by a random walk on its log, m and q take reflected unit steps,
-gamma a reflected uniform step.
+sampler: the noise variance has a conjugate inverse-gamma draw, and one
+Metropolis accept rule judges every other move: a random walk on log
+theta1, for m and q one of two proposals (a reflected +-1 step or a
+uniform draw over the prior range), and a reflected uniform gamma step.
 
 Distances never depend on theta1 or m.  A ``DistanceStore`` owns the raw
 (target x candidate) distance matrices: one per (library content, target
@@ -348,88 +349,43 @@ def draw_sigma2(rng: np.random.Generator, priors: PriorConfig, n_terms: int, ssr
     return rate / g
 
 
-def _accept(rng: np.random.Generator, log_ratio: float) -> bool:
-    return rng.random() < math.exp(min(log_ratio, 0.0))
-
-
-def update_sigma2(state, ssr, rng, priors, ssr_fn, n_terms):
-    new = draw_sigma2(rng, priors, n_terms, ssr)
-    return replace(state, sigma2=new), ssr, True
-
-
-def update_theta1(state, ssr, rng, priors, ssr_fn, n_terms, prop_sd=1.2):
-    """Random walk on log(theta1); the Jacobian term log(theta1'/theta1)
-    keeps the move targeting the posterior of theta1 itself."""
-    prop_val = math.exp(math.log(state.theta1) + prop_sd * rng.standard_normal())
-    prop = replace(state, theta1=prop_val)
+def _metropolis(state, prop, ssr, rng, ssr_fn, n_terms, log_prior_ratio=0.0):
+    """Accept ``prop`` with the Gaussian likelihood ratio times
+    exp(``log_prior_ratio``), the prior and proposal terms that do not
+    cancel.  Returns the kept state, its residual and whether it moved."""
     ssr_p = ssr_fn(prop)
     log_ratio = (
         gaussian_loglik(ssr_p, n_terms, state.sigma2)
         - gaussian_loglik(ssr, n_terms, state.sigma2)
-        + ig_logpdf(prop_val, priors.theta1_shape, priors.theta1_rate)
+        + log_prior_ratio
+    )
+    if rng.random() < math.exp(min(log_ratio, 0.0)):
+        return prop, ssr_p, True
+    return state, ssr, False
+
+
+def update_theta1(state, ssr, rng, priors, ssr_fn, n_terms, prop_sd):
+    """Random walk on log(theta1); the Jacobian term log(theta1'/theta1)
+    keeps the move targeting the posterior of theta1 itself."""
+    prop_val = math.exp(math.log(state.theta1) + prop_sd * rng.standard_normal())
+    log_prior_ratio = (
+        ig_logpdf(prop_val, priors.theta1_shape, priors.theta1_rate)
         - ig_logpdf(state.theta1, priors.theta1_shape, priors.theta1_rate)
         + math.log(prop_val)
         - math.log(state.theta1)
     )
-    if _accept(rng, log_ratio):
-        return prop, ssr_p, True
-    return state, ssr, False
-
-
-def _reflect_int(x: int, lo: int, hi: int) -> int:
-    if lo == hi:
-        return lo  # a one-value support has nowhere to step to
-    if x < lo:
-        return 2 * lo - x
-    if x > hi:
-        return 2 * hi - x
-    return x
+    prop = replace(state, theta1=prop_val)
+    return _metropolis(state, prop, ssr, rng, ssr_fn, n_terms, log_prior_ratio)
 
 
 def _propose_int(cur: int, lo: int, hi: int, rng, how: str) -> int:
+    """A uniform draw over [lo, hi], or a +-1 step reflected at the bounds."""
     if how == "uniform":
         return int(rng.integers(lo, hi + 1))
-    step = 1 if rng.random() < 0.5 else -1
-    return _reflect_int(cur + step, lo, hi)
-
-
-def _update_int(state, ssr, rng, priors, ssr_fn, n_terms, attr, lo, hi, how):
-    prop_val = _propose_int(getattr(state, attr), lo, hi, rng, how)
-    if prop_val == getattr(state, attr):
-        return state, ssr, True  # reflected onto itself, a sure self-move
-    prop = replace(state, **{attr: prop_val})
-    ssr_p = ssr_fn(prop)
-    log_ratio = gaussian_loglik(ssr_p, n_terms, state.sigma2) - gaussian_loglik(
-        ssr, n_terms, state.sigma2
-    )  # flat prior and symmetric proposal cancel
-    if _accept(rng, log_ratio):
-        return prop, ssr_p, True
-    return state, ssr, False
-
-
-def update_m(state, ssr, rng, priors, ssr_fn, n_terms, how="walk"):
-    return _update_int(state, ssr, rng, priors, ssr_fn, n_terms, "m", priors.m_min, priors.m_max, how)
-
-
-def update_q(state, ssr, rng, priors, ssr_fn, n_terms, how="walk"):
-    return _update_int(state, ssr, rng, priors, ssr_fn, n_terms, "q", priors.q_min, priors.q_max, how)
-
-
-def _reflect_unit(x: float) -> float:
-    x = abs(x)
-    return 2.0 - x if x > 1.0 else x
-
-
-def update_gamma(state, ssr, rng, priors, ssr_fn, n_terms, width=0.2):
-    prop_val = _reflect_unit(state.gamma + rng.uniform(-width, width))
-    prop = replace(state, gamma=prop_val)
-    ssr_p = ssr_fn(prop)
-    log_ratio = gaussian_loglik(ssr_p, n_terms, state.sigma2) - gaussian_loglik(
-        ssr, n_terms, state.sigma2
-    )
-    if _accept(rng, log_ratio):
-        return prop, ssr_p, True
-    return state, ssr, False
+    x = cur + (1 if rng.random() < 0.5 else -1)
+    if lo == hi:
+        return lo  # a one-value support has nowhere to step to
+    return 2 * lo - x if x < lo else 2 * hi - x if x > hi else x
 
 
 def mwg_step(
@@ -447,21 +403,30 @@ def mwg_step(
     constant function to sample the priors.  Returns the new state, its
     residual, and a dict of per-parameter acceptance flags.
     """
+    if priors.with_gamma and state.gamma is None:
+        raise ConfigError("with_gamma priors need a state with gamma set")
     if ssr is None:
         ssr = ssr_fn(state)
-    acc = {}
-    state, ssr, acc["sigma2"] = update_sigma2(state, ssr, rng, priors, ssr_fn, n_terms)
+    state = replace(state, sigma2=draw_sigma2(rng, priors, n_terms, ssr))
+    acc = {"sigma2": True}  # a Gibbs draw
     state, ssr, acc["theta1"] = update_theta1(
         state, ssr, rng, priors, ssr_fn, n_terms, config.theta1_prop_sd
     )
-    state, ssr, acc["m"] = update_m(state, ssr, rng, priors, ssr_fn, n_terms, config.mq_proposal)
-    state, ssr, acc["q"] = update_q(state, ssr, rng, priors, ssr_fn, n_terms, config.mq_proposal)
+    # m, q and gamma have flat priors and symmetric proposals, which cancel.
+    for name in ("m", "q"):
+        cur = getattr(state, name)
+        lo, hi = getattr(priors, f"{name}_min"), getattr(priors, f"{name}_max")
+        prop_val = _propose_int(cur, lo, hi, rng, config.mq_proposal)
+        if prop_val == cur:
+            acc[name] = True  # a sure self-move
+        else:
+            prop = replace(state, **{name: prop_val})
+            state, ssr, acc[name] = _metropolis(state, prop, ssr, rng, ssr_fn, n_terms)
     if priors.with_gamma:
-        if state.gamma is None:
-            raise ConfigError("with_gamma priors need a state with gamma set")
-        state, ssr, acc["gamma"] = update_gamma(
-            state, ssr, rng, priors, ssr_fn, n_terms, config.gamma_prop_width
-        )
+        width = config.gamma_prop_width
+        g = abs(state.gamma + rng.uniform(-width, width))
+        prop = replace(state, gamma=2.0 - g if g > 1.0 else g)  # reflected into [0, 1]
+        state, ssr, acc["gamma"] = _metropolis(state, prop, ssr, rng, ssr_fn, n_terms)
     return state, ssr, acc
 
 
@@ -611,19 +576,17 @@ def posterior_predict(
     n_draws: int | None = None,
     thin: int = 5,
     seed: int = 0,
-    metric: str = "procrustes",
-    scale_norm: str = "centered",
-    aux_lib: EmbeddingLibrary | None = None,
     engine: AnalogEngine | None = None,
     level: float = 0.95,
 ) -> ForecastDistribution:
     """Posterior predictive for the response ``index.tau`` steps after
     ``t_initial``: one Gaussian draw around the analog mean per retained
-    (thinned) state, cycling over states when ``n_draws`` asks for more."""
+    (thinned) state, cycling over states when ``n_draws`` asks for more.
+    ``engine`` defaults to a Procrustes engine on the given data."""
     if thin < 1:
         raise ConfigError(f"thin must be >= 1, got {thin}")
     if engine is None:
-        engine = AnalogEngine(lib, responses, index, metric, scale_norm, aux_lib)
+        engine = AnalogEngine(lib, responses, index)
     kept = chain.retained(thin)
     if not kept:
         raise ConfigError("no retained states to predict from")

@@ -24,6 +24,22 @@ _VARIANTS = ("BA1", "BA2", "BA3", "BA4")
 # Keys that do not affect computed numbers.
 _NON_SEMANTIC = {"out_dir", "jobs", "save_draws"}
 
+# JSON types each declared field type accepts; true/false is never a number.
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
+def _has_type(value, declared: str) -> bool:
+    """Whether ``value`` fits a declared type such as "int | None" or
+    "list[str]" without conversion."""
+    if value is None:
+        return declared.endswith(" | None")
+    declared = declared.removesuffix(" | None")
+    if declared.startswith("list["):
+        return isinstance(value, list) and all(_has_type(v, declared[5:-1]) for v in value)
+    if isinstance(value, bool) and declared != "bool":
+        return False
+    return isinstance(value, _JSON_TYPES[declared])
+
 
 @dataclass
 class RunConfig:
@@ -100,13 +116,19 @@ class RunConfig:
     save_draws: bool = False
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):  # leads, which take integral floats, come below
+            if f.name != "leads" and not _has_type(getattr(self, f.name), f.type):
+                raise ConfigError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
         if self.variant not in _VARIANTS:
             raise ConfigError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
         if self.metric is not None and self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.file_format not in ("wide-csv", "long-csv"):
             raise ConfigError(f"file_format must be wide-csv or long-csv")
-        if not self.leads or any(int(t) < 1 for t in self.leads):
+        if not self.leads or not isinstance(self.leads, list) or not all(
+            _has_type(t, "float") and t >= 1 and (isinstance(t, int) or t.is_integer())
+            for t in self.leads
+        ):
             raise ConfigError(f"leads must be positive integers, got {self.leads}")
         self.leads = [int(t) for t in self.leads]
         if len(set(self.leads)) != len(self.leads):
@@ -124,6 +146,8 @@ class RunConfig:
                 raise ConfigError(f"{key} must be >= 1")
         if self.lag < 0:
             raise ConfigError(f"lag must be >= 0, got {self.lag}")
+        if self.jobs < 0:
+            raise ConfigError(f"jobs must be >= 0, got {self.jobs}")
         unknown = [b for b in self.baselines if b not in BASELINE_LABELS and b != "M8"]
         if unknown:
             raise ConfigError(f"unknown baselines {unknown}")

@@ -99,10 +99,6 @@ class Prepared:
     train_end: int
     holdout_ics: np.ndarray  # 1-based initial-condition positions
 
-    @property
-    def n_time(self) -> int:
-        return self.response.n_time
-
 
 def load_prepared(cfg: RunConfig) -> Prepared:
     """Load inputs, convert to anomalies, and resolve the time split."""
@@ -252,8 +248,7 @@ def compute_region_bases(
         meof = compute_meof(prep.forcing, resp, cfg.p_joint)
         return split_block(meof, "forcing"), split_block(meof, "response")
     # BA3: lead-specific canonical patterns.
-    cca = compute_cca(prep.forcing, resp, lead, cfg.p_pre, cfg.p_joint)
-    return cca.forcing_basis, cca.response_basis
+    return compute_cca(prep.forcing, resp, lead, cfg.p_pre, cfg.p_joint)
 
 
 def stage_basis(cfg: RunConfig) -> list[str]:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from analogcast.basis import BasisSet, CoefficientSeries
+from analogcast.data import FieldSeries
 from analogcast.kernel import topk_weights
 from analogcast.metric import combined_distance, euclidean_distances, procrustes_distances
 
@@ -28,6 +29,11 @@ def identity_series(values: np.ndarray, times=None) -> CoefficientSeries:
     if times is None:
         times = np.arange(1, T + 1)
     return CoefficientSeries(values=values, times=np.asarray(times), basis=basis)
+
+
+def reconstruct(c: CoefficientSeries) -> FieldSeries:
+    """Map coefficients back to the field grid of their basis."""
+    return FieldSeries(values=c.basis.matrix @ c.values, coords=c.basis.coords, times=c.times)
 
 
 def weight_oracle(candidate_ids, distances, theta1: float, m: int):
@@ -124,41 +130,16 @@ def full_sort_ssr(state, lib, responses, index, metric="procrustes", aux_lib=Non
     return float(np.sum(resid * resid))
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 60):
-    """Scalar golden-section minimum of a unimodal function on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _rot2(phi: float, reflect: bool) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    if reflect:
-        return np.array([[c, s], [s, -c]])
-    return np.array([[c, -s], [s, c]])
-
-
 def procrustes_oracle_q2(target: np.ndarray, comparison: np.ndarray,
                          n_angles: int = 1440) -> float:
     """Brute-force normalized Procrustes distance for q = 2.
 
     Minimizes ||T~ - theta * C~ R(phi, reflect)||_F over a grid of
-    rotation angles, both reflection flags, and a golden-section search
-    on the positive scale, then refines the best angle with a nested
-    golden-section pass.  Returns the residual divided by ||C~||_F.
+    rotation angles and both reflection flags, with a golden-section
+    search on the positive scale at every angle, then refines the best
+    angle on ever finer grids around it.  Each pass is vectorized over its
+    angles; nothing is solved in closed form.  Returns the residual divided
+    by ||C~||_F.
     """
     t = np.asarray(target, dtype=float)
     c = np.asarray(comparison, dtype=float)
@@ -167,60 +148,51 @@ def procrustes_oracle_q2(target: np.ndarray, comparison: np.ndarray,
     c_norm = float(np.linalg.norm(cc))
     t_norm = float(np.linalg.norm(tc))
     theta_hi = 5.0 * (t_norm / c_norm + 1.0)
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
 
-    def resid_at(phi: float, reflect: bool):
-        cr = cc @ _rot2(phi, reflect)
+    def resid(phis: np.ndarray, reflect: bool, iters: int) -> np.ndarray:
+        """Residual at each angle, at the scale a golden-section search
+        finds for it; vectorized over the angles."""
+        cos, sin = np.cos(phis), np.sin(phis)
+        if reflect:
+            rows = [np.stack([cos, sin], axis=-1), np.stack([sin, -cos], axis=-1)]
+        else:
+            rows = [np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)]
+        cr = np.einsum("pk,akr->apr", cc, np.stack(rows, axis=-2))  # (n_angles, p, 2)
+        # The search compares ||T~ - x C~R||^2 - ||T~||^2 = x (x b - 2 a).
+        a = np.einsum("pr,apr->a", tc, cr)
+        b = np.einsum("apr,apr->a", cr, cr)
+        lo = np.zeros(len(phis))
+        hi = np.full(len(phis), theta_hi)
+        for _ in range(iters):
+            x1 = hi - inv_phi * (hi - lo)
+            x2 = lo + inv_phi * (hi - lo)
+            take1 = x1 * (x1 * b - 2.0 * a) < x2 * (x2 * b - 2.0 * a)
+            hi = np.where(take1, x2, hi)
+            lo = np.where(take1, lo, x1)
+        d = tc[None] - 0.5 * (lo + hi)[:, None, None] * cr
+        return np.sqrt(np.einsum("apr,apr->a", d, d))
 
-        def f(theta: float) -> float:
-            return float(np.linalg.norm(tc - theta * cr))
-
-        _, val = _golden_min(f, 0.0, theta_hi)
-        return val
-
+    # Coarse pass over the whole angle grid, both reflection flags.
     best = (math.inf, 0.0, False)
     grid = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
     for reflect in (False, True):
-        # Coarse pass: analytic-free residual at a golden-optimal scale
-        # per angle, vectorized over the whole grid.
-        cos, sin = np.cos(grid), np.sin(grid)
-        if reflect:
-            rots = np.stack(
-                [np.stack([cos, sin], axis=-1), np.stack([sin, -cos], axis=-1)],
-                axis=-2,
-            )
-        else:
-            rots = np.stack(
-                [np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)],
-                axis=-2,
-            )
-        cr = np.einsum("pk,akr->apr", cc, rots)  # (n_angles, p, 2)
-        lo = np.zeros(len(grid))
-        hi = np.full(len(grid), theta_hi)
-        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-        for _ in range(40):
-            x1 = hi - inv_phi * (hi - lo)
-            x2 = lo + inv_phi * (hi - lo)
-            r1 = np.linalg.norm(tc[None] - x1[:, None, None] * cr, axis=(1, 2))
-            r2 = np.linalg.norm(tc[None] - x2[:, None, None] * cr, axis=(1, 2))
-            take1 = r1 < r2
-            hi = np.where(take1, x2, hi)
-            lo = np.where(take1, lo, x1)
-        theta = 0.5 * (lo + hi)
-        res = np.linalg.norm(tc[None] - theta[:, None, None] * cr, axis=(1, 2))
+        res = resid(grid, reflect, 40)
         k = int(np.argmin(res))
         if res[k] < best[0]:
             best = (float(res[k]), float(grid[k]), reflect)
 
-    # Fine pass: golden-section on the angle around the best grid point,
-    # re-optimizing the scale inside.
-    _, phi0, reflect = best
-    step = 2.0 * math.pi / n_angles
-
-    def angle_obj(phi: float) -> float:
-        return resid_at(phi, reflect)
-
-    _, res_fine = _golden_min(angle_obj, phi0 - 2.0 * step, phi0 + 2.0 * step)
-    return min(best[0], res_fine) / c_norm
+    # Fine pass: 201 angles across two grid steps either side of the best
+    # one, then again across two of those finer steps, three times over.
+    res_best, phi, reflect = best
+    half = 2.0 * (2.0 * math.pi / n_angles)
+    for _ in range(3):
+        phis = np.linspace(phi - half, phi + half, 201)
+        res = resid(phis, reflect, 60)
+        k = int(np.argmin(res))
+        res_best, phi = min(res_best, float(res[k])), float(phis[k])
+        half = 2.0 * (phis[1] - phis[0])
+    return res_best / c_norm
 
 
 def brute_training_index(lag: int, q_max: int, t_start: int, t_end: int,

@@ -9,13 +9,12 @@ from analogcast.basis import (
     compute_meof,
     load_basis,
     project,
-    reconstruct,
     save_basis,
     split_block,
 )
 from analogcast.data import FieldSeries
 from analogcast.errors import ConfigError, DataError, NumericError
-from oracles import normal_equations_fit
+from oracles import normal_equations_fit, reconstruct
 
 
 def _anom_field(seed, n_loc=20, n_time=50, lon0=0.0):
@@ -156,16 +155,18 @@ def test_cca_detects_planted_shift_and_stays_null_on_noise():
     shifted[:, lead:] = rng.normal(size=(6, 6)) @ fv[:, :-lead]
     forcing = FieldSeries(fv, coords_f, np.arange(1, n_time + 1))
     response = FieldSeries(shifted, coords_r, np.arange(1, n_time + 1))
-    hit = compute_cca(forcing, response, lead=lead, p_pre=5, p=3)
-    assert hit.correlations[0] > 0.99
+    hit_x, hit_y = compute_cca(forcing, response, lead=lead, p_pre=5, p=3)
+    assert hit_x.correlations[0] > 0.99
+    assert np.array_equal(hit_y.correlations, hit_x.correlations)
+    assert hit_x.kind == hit_y.kind == "cca" and not hit_x.ridged and not hit_y.ridged
     # Independent white noise: the leading canonical correlation stays small.
     noise = FieldSeries(
         rng.normal(size=(6, n_time)), coords_r, np.arange(1, n_time + 1)
     )
-    null = compute_cca(forcing, noise, lead=2, p_pre=5, p=3)
-    assert null.correlations[0] < 0.35
-    assert hit.forcing_basis.matrix.shape == (6, 3)
-    assert hit.response_basis.matrix.shape == (6, 3)
+    null_x, _ = compute_cca(forcing, noise, lead=2, p_pre=5, p=3)
+    assert null_x.correlations[0] < 0.35
+    assert hit_x.matrix.shape == (6, 3)
+    assert hit_y.matrix.shape == (6, 3)
     with pytest.raises(ConfigError):
         compute_cca(forcing, response, lead=-1, p_pre=5, p=3)
 
@@ -191,14 +192,14 @@ def test_basis_save_load_round_trip(tmp_path):
     assert np.array_equal(g.explained_variance, b.explained_variance)
     assert g.kind == "eof" and g.correlations is None
 
-    res = compute_cca(
+    _, cca = compute_cca(
         _anom_field(16, n_loc=8), _anom_field(17, n_loc=8, lon0=200.0), 1, 5, 2
     )
     cpath = str(tmp_path / "cca.csv")
-    save_basis(res.response_basis, cpath)
+    save_basis(cca, cpath)
     h = load_basis(cpath)
-    assert np.array_equal(h.matrix, res.response_basis.matrix)
-    assert np.array_equal(h.correlations, res.correlations)
+    assert np.array_equal(h.matrix, cca.matrix)
+    assert np.array_equal(h.correlations, cca.correlations)
     assert h.kind == "cca"
 
     with pytest.raises(DataError, match="file not found"):

@@ -362,6 +362,144 @@ def test_run_chain_mechanics_and_reproducibility():
         run_chain(lib, responses, index, PriorConfig(q_max=9), iterations=5, burn_in=1)
 
 
+def _closed_form_ssr(s):
+    gamma_term = 0.0 if s.gamma is None else 10.0 * (s.gamma - 0.3) ** 2
+    return (
+        12.0 + 3.0 * math.log(s.theta1 / 0.6) ** 2
+        + 0.5 * (s.m - 4) ** 2 + 0.3 * (s.q - 6) ** 2 + gamma_term
+    )
+
+
+_PINNED_CASES = {
+    "walk": (PriorConfig(m_max=8, q_max=10), SamplerConfig()),
+    "uniform": (PriorConfig(m_max=8, q_max=10), SamplerConfig(mq_proposal="uniform")),
+    "gamma": (
+        PriorConfig(m_max=8, q_max=10, with_gamma=True), SamplerConfig(gamma_prop_width=0.3)
+    ),
+    "one_m_walk": (PriorConfig(m_min=3, m_max=3, q_max=10), SamplerConfig()),
+    "one_q_uniform": (
+        PriorConfig(q_min=5, q_max=5, m_max=8), SamplerConfig(mq_proposal="uniform")
+    ),
+}
+
+# m and q carry one hex digit per iteration; the float columns are
+# iterations 10, 20, ..., 60; "accepted" counts the accepted moves.
+_PINNED_STREAMS = {
+    "walk": {
+        "m": "345666656554565567765434434444555432223332234454344332223433",
+        "q": "777877778776787678878765655566655545545666778765665566765566",
+        "theta1": [
+            0.5872924921453869, 0.5604622910101734, 0.5920538767219409,
+            0.5777943669461281, 0.8616869939548558, 0.523624584012432,
+        ],
+        "sigma2": [
+            0.8387155961397558, 1.230756114197092, 0.35684887355710093,
+            0.524541879609191, 0.33004073676675766, 0.4361856063308137,
+        ],
+        "log_post": [
+            -38.69737414968693, -41.807832604555315, -36.78244165536357,
+            -36.862882546368446, -38.32514557465369, -36.82214156786515,
+        ],
+        "accepted": {"m": 37, "q": 38, "sigma2": 60, "theta1": 27},
+    },
+    "uniform": {
+        "m": "445552266655275333333555513333355444445555444444666611112555",
+        "q": "677744456666567747774444443666677777744555555453aaa588867777",
+        "theta1": [
+            0.43085093606077796, 0.6796976672570665, 0.6796976672570665,
+            0.3170126170788659, 0.6288444785920284, 0.6316771963619406,
+        ],
+        "sigma2": [
+            0.7495511262331352, 0.7050377325970241, 0.8107135942867851,
+            0.47071113693815125, 1.0000413556991583, 0.5095687898744715,
+        ],
+        "log_post": [
+            -38.85208050598663, -38.12633743901877, -38.56933359694526,
+            -38.05253183417269, -42.84833775698403, -37.254477804772925,
+        ],
+        "accepted": {"m": 31, "q": 34, "sigma2": 60, "theta1": 20},
+    },
+    "gamma": {
+        "m": "345445545433454433443332322222232221212333343322233434433445",
+        "q": "765667656566556565454556665456766789877876766766566765655676",
+        "theta1": [
+            0.6359356375538219, 0.6323341837487197, 0.5090678991792994,
+            0.21110484431134777, 0.7039519881000097, 0.6890837165682353,
+        ],
+        "sigma2": [
+            0.44014039603581834, 0.8007283616426937, 0.7376565530094191,
+            0.5832199484968094, 0.5217075017590213, 0.38709363327673635,
+        ],
+        "gamma": [
+            0.10379501863478541, 0.002219758182302356, 0.26228528485536573,
+            0.11704680855204352, 0.3973808779813867, 0.31756953170407787,
+        ],
+        "log_post": [
+            -37.21430620558107, -38.8030698414932, -38.78365862484504,
+            -41.14617540166428, -37.29971343428614, -37.46699572189379,
+        ],
+        "accepted": {"gamma": 57, "m": 35, "q": 48, "sigma2": 60, "theta1": 24},
+    },
+    "one_m_walk": {
+        "m": "333333333333333333333333333333333333333333333333333333333333",
+        "q": "778998887888887676787655545433345566655656676565456555455444",
+        "theta1": [
+            0.6991936111287359, 0.3998193307758895, 0.34154420857278917,
+            0.572475478030257, 0.9107274394418704, 0.7784932734518809,
+        ],
+        "sigma2": [
+            0.676014836817046, 1.4816054758964436, 0.7016229229642159,
+            0.6067501548608265, 0.8578549979468263, 0.42505218833565966,
+        ],
+        "log_post": [
+            -36.618490924913054, -40.81862511032899, -37.77604916609885,
+            -35.05136369504978, -37.75615388525986, -36.9336358441819,
+        ],
+        "accepted": {"m": 60, "q": 38, "sigma2": 60, "theta1": 28},
+    },
+    "one_q_uniform": {
+        "m": "444444444444255533554444444444444444444444355633555453333334",
+        "q": "555555555555555555555555555555555555555555555555555555555555",
+        "theta1": [
+            1.027257875442383, 0.7485548099101447, 0.847991165308875,
+            0.4148647926758494, 0.2314847387182798, 0.5897580976779813,
+        ],
+        "sigma2": [
+            0.3431744244568695, 0.5662758442152012, 0.6599367363030939,
+            0.43445384468858533, 0.48964295376569766, 0.5792696975345476,
+        ],
+        "log_post": [
+            -37.38506776363212, -35.55510191852851, -35.92189762481835,
+            -34.60864096240099, -37.54616883189064, -34.68046679022775,
+        ],
+        "accepted": {"m": 28, "q": 60, "sigma2": 60, "theta1": 28},
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_CASES))
+def test_sampler_stream_matches_pinned_values(case):
+    # A closed-form residual keeps distances and BLAS out, so these values
+    # pin the sampler alone: its proposals, its RNG draws and their order,
+    # and its accept rule.  Integer traces and acceptance counts must match
+    # exactly; floats may differ only in the last bits a libm can change.
+    priors, sampler = _PINNED_CASES[case]
+    _, responses, lib, index = _setup(q_max=10)
+    chain = run_chain(
+        lib, responses, index, priors, iterations=60, burn_in=1, seed=2024,
+        config=sampler, ssr_fn=_closed_form_ssr, n_terms=24,
+    )
+    want = _PINNED_STREAMS[case]
+    for k in ("m", "q"):
+        assert chain.draws[k].tolist() == [int(c, 16) for c in want[k]], k
+    got = {**chain.draws, "log_post": chain.log_posts}
+    floats = [k for k in got if k not in ("m", "q")]
+    assert set(floats) == set(want) - {"m", "q", "accepted"}
+    for k in floats:
+        np.testing.assert_allclose(got[k][9::10], want[k], rtol=1e-12, atol=0, err_msg=k)
+    assert chain.accept_rates == {k: v / 60 for k, v in want["accepted"].items()}
+
+
 def test_mode_mq_tie_breaks_toward_smallest_pair():
     draws = {
         "theta1": np.ones(6),

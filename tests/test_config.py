@@ -56,6 +56,19 @@ def test_validation_names_the_offending_key():
         (dict(lag=-1), "lag"),
         (dict(baselines=["M9"]), "M9"),
         (dict(file_format="parquet"), "file_format"),
+        # Values of the wrong JSON type are refused, never converted.
+        (dict(leads=["x"]), "leads"),
+        (dict(leads=[1.5]), "leads"),
+        (dict(leads=[True]), "leads"),
+        (dict(leads=3), "leads"),
+        (dict(m_max="3"), "m_max"),
+        (dict(theta1_prop_sd="1"), "theta1_prop_sd"),
+        (dict(iterations=True), "iterations"),
+        (dict(iterations=5000.0), "iterations"),
+        (dict(seed=None), "seed"),
+        (dict(save_draws=1), "save_draws"),
+        (dict(baselines=["M1", 5]), "baselines"),
+        (dict(jobs=-1), "jobs"),
     ]
     for kwargs, needle in cases:
         with pytest.raises(ConfigError, match=needle):
@@ -96,3 +109,8 @@ def test_leads_normalized_to_ints():
     cfg = RunConfig(leads=[1.0, 3])
     assert cfg.leads == [1, 3]
     assert all(isinstance(t, int) for t in cfg.leads)
+
+
+def test_ints_stand_for_floats_and_none_only_for_optional_keys():
+    cfg = RunConfig(theta1_prop_sd=2, synth_noise_sd=1, metric=None, train_start=None, jobs=0)
+    assert cfg.theta1_prop_sd == 2 and isinstance(cfg.theta1_prop_sd, int)  # not converted

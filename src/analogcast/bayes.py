@@ -31,6 +31,12 @@ metric only the current and the last proposed views are kept.  Forecasts
 from one initial condition go through the same views, keyed by (q, gamma,
 initial time), and their distances are single-row matrices.
 
+``run_chain`` only samples: its residual is any ``ssr_fn``, by default a
+Procrustes engine's on the given data; the pipeline passes the ``ssr`` of
+the engine it built for the task, with the task's metric and store.
+``posterior_predict`` draws once per retained state and reports the mean
+and the central ``LEVEL`` band.
+
 A ``Chain`` keeps its trace by column, one array per sampled parameter
 over all iterations (gamma only when the state carries one), and
 ``save_chain`` writes it as one CSV row per iteration.  ``Chain.retained``
@@ -73,10 +79,12 @@ class PriorConfig:
     with_gamma: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.m_min <= self.m_max:
-            raise ConfigError(f"bad m range [{self.m_min}, {self.m_max}]")
-        if not 1 <= self.q_min <= self.q_max:
-            raise ConfigError(f"bad q range [{self.q_min}, {self.q_max}]")
+        for name in ("m", "q"):
+            lo, hi = getattr(self, f"{name}_min"), getattr(self, f"{name}_max")
+            if not 1 <= lo <= hi:
+                raise ConfigError(
+                    f"{name}_min={lo} and {name}_max={hi} must satisfy 1 <= {name}_min <= {name}_max"
+                )
         for name in ("theta1_shape", "theta1_rate", "sigma2_shape", "sigma2_rate"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
@@ -112,8 +120,9 @@ class SamplerConfig:
     mq_proposal: str = "walk"  # "walk" (reflected +-1) or "uniform" (full support)
 
     def __post_init__(self):
-        if self.theta1_prop_sd <= 0 or self.gamma_prop_width <= 0:
-            raise ConfigError("proposal scales must be > 0")
+        for name in ("theta1_prop_sd", "gamma_prop_width"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0")
         if self.mq_proposal not in ("walk", "uniform"):
             raise ConfigError(f"unknown mq_proposal {self.mq_proposal!r}")
 
@@ -494,20 +503,16 @@ def run_chain(
     iterations: int = 5000,
     burn_in: int = 500,
     seed: int = 0,
-    metric: str = "procrustes",
-    scale_norm: str = "centered",
-    aux_lib: EmbeddingLibrary | None = None,
     config: SamplerConfig = SamplerConfig(),
     init: ModelState | None = None,
     ssr_fn=None,
     n_terms: int | None = None,
-    store: DistanceStore | None = None,
 ) -> Chain:
     """Run the Metropolis-within-Gibbs sampler and keep the whole trace.
 
-    ``ssr_fn``/``n_terms`` default to the analog engine on the given data,
-    reading its distances from ``store``; tests may override them (e.g.
-    constants) to sample the priors alone.
+    ``ssr_fn``/``n_terms`` default to a Procrustes engine on the given
+    data; pass an engine's ``ssr`` and ``n_terms`` for any other metric or
+    a shared store, or constants to sample the priors alone.
     """
     if iterations <= burn_in:
         raise ConfigError(
@@ -518,9 +523,7 @@ def run_chain(
             f"priors allow q up to {priors.q_max} but library has q_max={lib.q}"
         )
     if ssr_fn is None:
-        engine = AnalogEngine(
-            lib, responses, index, metric, scale_norm, aux_lib, priors.m_max, store
-        )
+        engine = AnalogEngine(lib, responses, index, m_max=priors.m_max)
         ssr_fn = engine.ssr
         n_terms = engine.n_terms
     elif n_terms is None:
@@ -543,6 +546,9 @@ def run_chain(
         log_posts[it] = log_posterior(state, ssr, n_terms, priors)
     rates = {k: v / iterations for k, v in sorted(counts.items())}
     return Chain(draws=draws, log_posts=log_posts, burn_in=burn_in, accept_rates=rates, seed=seed)
+
+
+LEVEL = 0.95  # probability inside a forecast's (lo, hi) band
 
 
 @dataclass(frozen=True)
@@ -573,15 +579,13 @@ def posterior_predict(
     index: TrainingIndex,
     t_initial: int,
     basis: BasisSet,
-    n_draws: int | None = None,
     thin: int = 5,
     seed: int = 0,
     engine: AnalogEngine | None = None,
-    level: float = 0.95,
 ) -> ForecastDistribution:
     """Posterior predictive for the response ``index.tau`` steps after
     ``t_initial``: one Gaussian draw around the analog mean per retained
-    (thinned) state, cycling over states when ``n_draws`` asks for more.
+    (thinned) state, summarized by its mean and central ``LEVEL`` band.
     ``engine`` defaults to a Procrustes engine on the given data."""
     if thin < 1:
         raise ConfigError(f"thin must be >= 1, got {thin}")
@@ -590,22 +594,17 @@ def posterior_predict(
     kept = chain.retained(thin)
     if not kept:
         raise ConfigError("no retained states to predict from")
-    if n_draws is None:
-        n_draws = len(kept)
-    if n_draws < 1:
-        raise ConfigError(f"n_draws must be >= 1, got {n_draws}")
     rng = np.random.default_rng(seed)
     p = responses.p
-    draws = np.empty((n_draws, p))
+    draws = np.empty((len(kept), p))
     mean_cache: dict = {}
-    for i in range(n_draws):
-        s = kept[i % len(kept)]
+    for i, s in enumerate(kept):
         key = (s.theta1, s.m, s.q, s.gamma)
         if key not in mean_cache:
             mean_cache[key] = engine.predictive_mean(s, t_initial)
         draws[i] = mean_cache[key] + math.sqrt(s.sigma2) * rng.standard_normal(p)
     field = draws @ basis.matrix.T
-    alpha = 0.5 * (1.0 - level)
+    alpha = 0.5 * (1.0 - LEVEL)
     return ForecastDistribution(
         initial_time=t_initial,
         target_time=t_initial + index.tau,

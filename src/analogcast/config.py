@@ -4,6 +4,9 @@ Configs are JSON objects with only scalar / list-of-scalar values so a
 saved file reloads to an identical object.  ``content_hash`` covers the
 keys that determine numerical results; artifact stages store it so a
 later stage can refuse inputs produced under a different setup.
+``priors()`` and ``sampler()`` hand every (region, lead) chain its
+``PriorConfig`` and ``SamplerConfig``; both are built once when the config
+is made, so a bad prior or proposal value is refused at load.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ import os
 from dataclasses import dataclass, field
 
 from .baselines import BASELINE_LABELS
+from .bayes import PriorConfig, SamplerConfig
 from .data import write_json
 from .errors import ConfigError
-from .metric import METRICS
+from .metric import METRICS, SCALE_NORMS
 
 _VARIANTS = ("BA1", "BA2", "BA3", "BA4")
 
@@ -26,6 +30,10 @@ _NON_SEMANTIC = {"out_dir", "jobs", "save_draws"}
 
 # JSON types each declared field type accepts; true/false is never a number.
 _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+# RunConfig keys that PriorConfig and SamplerConfig take under the same names.
+_PRIOR_KEYS = [f.name for f in dataclasses.fields(PriorConfig) if f.name != "with_gamma"]
+_SAMPLER_KEYS = [f.name for f in dataclasses.fields(SamplerConfig)]
 
 
 def _has_type(value, declared: str) -> bool:
@@ -71,23 +79,23 @@ class RunConfig:
     lag: int = 1
     leads: list[int] = field(default_factory=lambda: [1, 3, 6])
 
-    # Priors.
-    m_min: int = 1
-    m_max: int = 15
-    q_min: int = 2
-    q_max: int = 24
-    theta1_shape: float = 2.0
-    theta1_rate: float = 1.0
-    sigma2_shape: float = 0.001
-    sigma2_rate: float = 0.001
+    # Priors; see priors().
+    m_min: int = PriorConfig.m_min
+    m_max: int = PriorConfig.m_max
+    q_min: int = PriorConfig.q_min
+    q_max: int = PriorConfig.q_max
+    theta1_shape: float = PriorConfig.theta1_shape
+    theta1_rate: float = PriorConfig.theta1_rate
+    sigma2_shape: float = PriorConfig.sigma2_shape
+    sigma2_rate: float = PriorConfig.sigma2_rate
 
-    # Sampler.
+    # Sampler; see sampler().
     iterations: int = 5000
     burn_in: int = 500
     thin: int = 5
-    theta1_prop_sd: float = 1.2
-    gamma_prop_width: float = 0.2
-    mq_proposal: str = "walk"
+    theta1_prop_sd: float = SamplerConfig.theta1_prop_sd
+    gamma_prop_width: float = SamplerConfig.gamma_prop_width
+    mq_proposal: str = SamplerConfig.mq_proposal
     seed: int = 0
 
     # Training / hold-out split (positions; None means auto).
@@ -148,15 +156,32 @@ class RunConfig:
             raise ConfigError(f"lag must be >= 0, got {self.lag}")
         if self.jobs < 0:
             raise ConfigError(f"jobs must be >= 0, got {self.jobs}")
+        if self.exclusion_radius < 0:
+            raise ConfigError(f"exclusion_radius must be >= 0, got {self.exclusion_radius}")
+        if self.scale_norm not in SCALE_NORMS:
+            raise ConfigError(f"scale_norm must be one of {SCALE_NORMS}, got {self.scale_norm!r}")
         unknown = [b for b in self.baselines if b not in BASELINE_LABELS and b != "M8"]
         if unknown:
             raise ConfigError(f"unknown baselines {unknown}")
+        self.priors()  # refuse bad prior and sampler values now, not at train
+        self.sampler()
 
     @property
     def effective_metric(self) -> str:
         if self.metric is not None:
             return self.metric
         return "combined" if self.variant == "BA4" else "procrustes"
+
+    def priors(self) -> PriorConfig:
+        """The prior of every (region, lead) chain; gamma is sampled under
+        the combined metric."""
+        return PriorConfig(
+            **{k: getattr(self, k) for k in _PRIOR_KEYS},
+            with_gamma=self.effective_metric == "combined",
+        )
+
+    def sampler(self) -> SamplerConfig:
+        return SamplerConfig(**{k: getattr(self, k) for k in _SAMPLER_KEYS})
 
     def data_path(self, which: str) -> str:
         configured = getattr(self, f"{which}_path")

@@ -26,6 +26,7 @@ from .errors import ConfigError, NumericError
 _DEGENERATE_TOL = 1e-300
 
 METRICS = ("euclidean", "procrustes", "combined")
+SCALE_NORMS = ("centered", "raw")
 
 
 def _center_cols(b: np.ndarray) -> np.ndarray:
@@ -111,8 +112,8 @@ def procrustes_distances(
     Degenerate candidates (zero centered norm) give +inf columns instead
     of raising, so callers can rank them as maximally distant.
     """
-    if scale_norm not in ("centered", "raw"):
-        raise ConfigError(f"unknown scale_norm {scale_norm!r} (use centered or raw)")
+    if scale_norm not in SCALE_NORMS:
+        raise ConfigError(f"unknown scale_norm {scale_norm!r} (use one of {SCALE_NORMS})")
     targets = np.asarray(targets, dtype=float)
     comparisons = np.asarray(comparisons, dtype=float)
     if targets.shape[1:] != comparisons.shape[1:]:

@@ -16,7 +16,9 @@ other stage checks a hash.  Every artifact is written through
 ``data.write_table`` (atomically, so an interrupted stage leaves the old
 file or none), and a missing, empty, cut-off or unparsable artifact raises
 ``DataError`` (CLI exit 3).  Each train and forecast stage loads its inputs
-once and hands them to every (region, lead) task.  Each process of a stage
+once and hands them to every (region, lead) task; ``build_setup`` builds a
+task's ``AnalogEngine`` the same way for both, and the config hands out its
+prior and sampler settings.  Each process of a stage
 (the stage itself, or each pool worker with ``jobs`` > 1) makes one
 ``DistanceStore`` that its tasks share and that ends with the stage.
 Tasks run region-major, so chains over one forcing library (every task
@@ -40,7 +42,6 @@ import numpy as np
 from . import baselines as bl
 from .basis import (
     BasisSet,
-    CoefficientSeries,
     compute_cca,
     compute_eof,
     compute_meof,
@@ -52,8 +53,6 @@ from .basis import (
 from .bayes import (
     AnalogEngine,
     DistanceStore,
-    PriorConfig,
-    SamplerConfig,
     load_chain,
     posterior_predict,
     run_chain,
@@ -240,15 +239,21 @@ def stage_synth(cfg: RunConfig) -> list[str]:
 def compute_region_bases(
     cfg: RunConfig, prep: Prepared, region: int, lead: int
 ) -> tuple[BasisSet, BasisSet]:
-    """Forcing-side (psi) and response-side (phi) patterns for one region."""
+    """Forcing-side (psi) and response-side (phi) patterns for one region.
+
+    Train projects both fields onto them, so a basis with linearly
+    dependent columns raises the same ``NumericError`` here."""
     resp = restrict_to_region(prep.response, prep.partition, region)
     if cfg.variant in ("BA1", "BA4"):
-        return compute_eof(prep.forcing, cfg.p_beta), compute_eof(resp, cfg.p_alpha)
-    if cfg.variant == "BA2":
+        psi, phi = compute_eof(prep.forcing, cfg.p_beta), compute_eof(resp, cfg.p_alpha)
+    elif cfg.variant == "BA2":
         meof = compute_meof(prep.forcing, resp, cfg.p_joint)
-        return split_block(meof, "forcing"), split_block(meof, "response")
-    # BA3: lead-specific canonical patterns.
-    return compute_cca(prep.forcing, resp, lead, cfg.p_pre, cfg.p_joint)
+        psi, phi = split_block(meof, "forcing"), split_block(meof, "response")
+    else:  # BA3: lead-specific canonical patterns
+        psi, phi = compute_cca(prep.forcing, resp, lead, cfg.p_pre, cfg.p_joint)
+    project(prep.forcing, psi)
+    project(resp, phi)
+    return psi, phi
 
 
 def stage_basis(cfg: RunConfig) -> list[str]:
@@ -268,90 +273,45 @@ def stage_basis(cfg: RunConfig) -> list[str]:
 # --- train stage -------------------------------------------------------------
 
 
-@dataclass
-class RegionLeadSetup:
-    """Everything the sampler and forecaster need for one (region, lead)."""
-
-    lib: object
-    alpha: CoefficientSeries
-    index: object
-    priors: PriorConfig
-    sampler: SamplerConfig
-    metric: str
-    aux_lib: object
-    phi: BasisSet
-
-
-def build_setup(cfg: RunConfig, prep: Prepared, region: int, lead: int) -> RegionLeadSetup:
+def build_setup(
+    cfg: RunConfig, prep: Prepared, region: int, lead: int, store: DistanceStore
+) -> tuple[AnalogEngine, BasisSet]:
+    """The analog engine of one (region, lead) task, reading its distances
+    from ``store``, and the response basis (phi) its forecasts map back
+    through.  Both come from the bases the basis stage wrote."""
     psi = load_basis(path_basis(cfg, "psi", region, lead))
     phi = load_basis(path_basis(cfg, "phi", region, lead))
     resp = restrict_to_region(prep.response, prep.partition, region)
-    beta = project(prep.forcing, psi)
     alpha = project(resp, phi)
-    lib = build_library(beta, cfg.lag, cfg.q_max)
+    lib = build_library(project(prep.forcing, psi), cfg.lag, cfg.q_max)
     metric = cfg.effective_metric
     aux_lib = None
     if metric == "combined":
+        aux_coeffs = alpha  # response history stands in for a missing auxiliary field
         if prep.aux is not None:
-            aux_region = restrict_to_region(prep.aux, prep.partition, region)
-            aux_coeffs = project(aux_region, phi)
-        else:
-            aux_coeffs = alpha  # response history stands in for the auxiliary side
+            aux_coeffs = project(restrict_to_region(prep.aux, prep.partition, region), phi)
         aux_lib = build_library(aux_coeffs, cfg.lag, cfg.q_max)
     index = build_training_index(
         lib, prep.train_start, prep.train_end, lead, cfg.exclusion_radius
     )
-    priors = PriorConfig(
-        m_min=cfg.m_min,
-        m_max=cfg.m_max,
-        q_min=cfg.q_min,
-        q_max=cfg.q_max,
-        theta1_shape=cfg.theta1_shape,
-        theta1_rate=cfg.theta1_rate,
-        sigma2_shape=cfg.sigma2_shape,
-        sigma2_rate=cfg.sigma2_rate,
-        with_gamma=(metric == "combined"),
+    engine = AnalogEngine(
+        lib, alpha, index, metric, cfg.scale_norm, aux_lib, cfg.m_max, store
     )
-    sampler = SamplerConfig(
-        theta1_prop_sd=cfg.theta1_prop_sd,
-        gamma_prop_width=cfg.gamma_prop_width,
-        mq_proposal=cfg.mq_proposal,
-    )
-    return RegionLeadSetup(
-        lib=lib,
-        alpha=alpha,
-        index=index,
-        priors=priors,
-        sampler=sampler,
-        metric=metric,
-        aux_lib=aux_lib,
-        phi=phi,
-    )
+    return engine, phi
 
 
 def _train_one(args: tuple, store: DistanceStore) -> str:
     cfg, prep, region, lead = args
-    setup = build_setup(cfg, prep, region, lead)
+    engine, _ = build_setup(cfg, prep, region, lead, store)
     chain = run_chain(
-        setup.lib,
-        setup.alpha,
-        setup.index,
-        setup.priors,
-        iterations=cfg.iterations,
-        burn_in=cfg.burn_in,
-        seed=derive_seed(cfg.seed, "train", region, lead),
-        metric=setup.metric,
-        scale_norm=cfg.scale_norm,
-        aux_lib=setup.aux_lib,
-        config=setup.sampler,
-        store=store,
+        engine.lib, engine.responses, engine.index, cfg.priors(),
+        iterations=cfg.iterations, burn_in=cfg.burn_in,
+        seed=derive_seed(cfg.seed, "train", region, lead), config=cfg.sampler(),
+        ssr_fn=engine.ssr, n_terms=engine.n_terms,
     )
     path = path_chain(cfg, region, lead)
-    save_chain(
-        chain,
-        path,
-        extra_meta={"config_hash": cfg.content_hash(), "region": region, "lead": lead},
-    )
+    meta = {"config_hash": cfg.content_hash(), "region": region, "lead": lead}
+    save_chain(chain, path, extra_meta=meta)
     rates = ", ".join(f"{k}={v:.2f}" for k, v in chain.accept_rates.items())
     print(f"train region {region} lead {lead}: accept {rates}")
     return path
@@ -402,38 +362,33 @@ _SPATIAL_HEADER = ["target_time", "forecast_mean", "lo", "hi"]
 
 def _forecast_one(args: tuple, store: DistanceStore) -> str:
     cfg, prep, region, lead = args
-    setup = build_setup(cfg, prep, region, lead)
+    engine, phi = build_setup(cfg, prep, region, lead, store)
     chain, meta = load_chain(path_chain(cfg, region, lead))
     if meta.get("config_hash") != cfg.content_hash():
         raise ConfigError(
             f"chain for region {region} lead {lead} was trained under a different "
             "config (hash mismatch); re-run train"
         )
-    engine = AnalogEngine(
-        setup.lib, setup.alpha, setup.index, setup.metric, cfg.scale_norm, setup.aux_lib,
-        setup.priors.m_max, store,
-    )
     times = prep.response.times
-    fds = []
-    for ic in prep.holdout_ics:
-        fds.append(
-            posterior_predict(
-                chain,
-                setup.lib,
-                setup.alpha,
-                setup.index,
-                t_initial=int(ic),
-                basis=setup.phi,
-                thin=cfg.thin,
-                seed=derive_seed(cfg.seed, "forecast", region, lead, int(ic)),
-                engine=engine,
-            )
+    fds = [
+        posterior_predict(
+            chain,
+            engine.lib,
+            engine.responses,
+            engine.index,
+            t_initial=int(ic),
+            basis=phi,
+            thin=cfg.thin,
+            seed=derive_seed(cfg.seed, "forecast", region, lead, int(ic)),
+            engine=engine,
         )
+        for ic in prep.holdout_ics
+    ]
     cals = [int(times[fd.target_time - 1]) for fd in fds]
     fc_path = path_forecast(cfg, region, lead)
     header = ["lon", "lat"] + [f"{k}_t{cal}" for cal in cals for k in ("mean", "lo", "hi")]
     bands = [np.column_stack([fd.field_mean, fd.field_lo, fd.field_hi]) for fd in fds]
-    write_table(fc_path, header, np.column_stack([setup.phi.coords] + bands).tolist())
+    write_table(fc_path, header, np.column_stack([phi.coords] + bands).tolist())
     spatial = []
     for cal, fd in zip(cals, fds):
         sp = fd.field_draws.mean(axis=1)
@@ -553,6 +508,12 @@ def baseline_rows(cfg: RunConfig, prep: Prepared, region: int, lead: int) -> lis
         elif label == "M5":
             fc = bl.climatology(resp.values, window, targets.size)
         elif label == "M6":
+            if lead > cfg.by_period:
+                warnings.warn(
+                    f"M6 at lead {lead} reads the response {lead - cfg.by_period} step(s) "
+                    f"after the initial condition (by_period={cfg.by_period})",
+                    stacklevel=2,
+                )
             fc = bl.persistence_previous(resp.values, targets, cfg.by_period)
         elif label == "M7":
             if prep.aux is None:

@@ -247,9 +247,10 @@ def test_engine_cache_bounds():
     )
     assert len(eng._views) <= 2
     assert len(builds) <= 1 + 2 * 200
+    fresh = AnalogEngine(lib, responses, index, "combined", aux_lib=eng.aux_lib, m_max=6)
     own = run_chain(
         lib, responses, index, priors, iterations=200, burn_in=20, seed=25,
-        metric="combined", aux_lib=eng.aux_lib,
+        ssr_fn=fresh.ssr, n_terms=fresh.n_terms,
     )
     assert all(np.array_equal(chain.draws[k], own.draws[k]) for k in chain.draws)
 
@@ -291,9 +292,12 @@ def test_shared_store_equals_private_engines_bit_for_bit(monkeypatch):
 
         def chains_and_means(tau, store=None):
             index = indexes[tau]
+            sampled = AnalogEngine(
+                lib, responses, index, metric, aux_lib=aux_lib, m_max=priors.m_max, store=store
+            )
             chain = run_chain(
                 lib, responses, index, priors, iterations=40, burn_in=5, seed=tau,
-                metric=metric, aux_lib=aux_lib, config=sampler, init=init, store=store,
+                config=sampler, init=init, ssr_fn=sampled.ssr, n_terms=sampled.n_terms,
             )
             eng = AnalogEngine(lib, responses, index, metric, aux_lib=aux_lib, store=store)
             means = [eng.predictive_mean(s, t) for s in chain.retained(7) for t in (14, 41, 42)]
@@ -539,25 +543,17 @@ def test_posterior_predict_pushes_draws_through_basis():
     )
     rng = np.random.default_rng(10)
     phi = BasisSet(rng.normal(size=(6, 3)), np.zeros((6, 2)), kind="eof")
-    fc = posterior_predict(
-        chain, lib, responses, index, index.t_end, phi,
-        n_draws=37, thin=5, seed=7,
-    )
-    assert fc.coeff_draws.shape == (37, 3)
-    assert fc.field_draws.shape == (37, 6)
+    fc = posterior_predict(chain, lib, responses, index, index.t_end, phi, thin=5, seed=7)
+    assert len(chain.retained(5)) == 8  # one draw per retained state
+    assert fc.coeff_draws.shape == (8, 3)
+    assert fc.field_draws.shape == (8, 6)
     assert np.allclose(fc.field_draws, fc.coeff_draws @ phi.matrix.T, atol=1e-12)
     assert np.allclose(fc.field_mean, phi.matrix @ fc.coeff_mean, atol=1e-10)
     assert (fc.field_lo <= fc.field_hi).all() and (fc.coeff_lo <= fc.coeff_hi).all()
     assert fc.target_time == index.t_end + index.tau
-    again = posterior_predict(
-        chain, lib, responses, index, index.t_end, phi,
-        n_draws=37, thin=5, seed=7,
-    )
+    again = posterior_predict(chain, lib, responses, index, index.t_end, phi, thin=5, seed=7)
     assert np.array_equal(fc.coeff_draws, again.coeff_draws)
-    other = posterior_predict(
-        chain, lib, responses, index, index.t_end, phi,
-        n_draws=37, thin=5, seed=8,
-    )
+    other = posterior_predict(chain, lib, responses, index, index.t_end, phi, thin=5, seed=8)
     assert not np.allclose(fc.coeff_draws, other.coeff_draws)
     with pytest.raises(ConfigError):
         posterior_predict(chain, lib, responses, index, index.t_end, phi, thin=0)

@@ -2,12 +2,16 @@ import csv
 import json
 import os
 import shutil
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from analogcast import pipeline
 from analogcast.cli import build_parser, main, resolve_config
 from analogcast.config import RunConfig
+from analogcast.data import FieldSeries, load_field, save_field
 from analogcast.scores import ScoreCard
 
 _TINY = dict(
@@ -234,3 +238,95 @@ def test_sidecar_without_a_valid_field_exits_3(
     assert main(["forecast", "--config", cfg_path]) == 3
     err = capsys.readouterr().err
     assert str(sidecar) in err and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "bad, key",
+    [
+        ({"mq_proposal": "gibbs"}, "mq_proposal"),
+        ({"m_min": 5, "m_max": 3}, "m_min"),
+        ({"scale_norm": "foo"}, "scale_norm"),
+        ({"exclusion_radius": -1}, "exclusion_radius"),
+    ],
+)
+def test_bad_prior_sampler_or_metric_key_exits_2_before_train(tmp_path, capsys, bad, key):
+    _run_all(_write_config(tmp_path), stages=("synth",))
+    assert main(["basis", "--config", _write_config(tmp_path, "bad.json", **bad)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_basis_refuses_a_basis_that_train_would_refuse(tmp_path, capsys):
+    # Twelve MEOF patterns cannot be independent on nine forcing locations.
+    cfg_path = _write_config(tmp_path, variant="BA2")
+    _run_all(cfg_path, stages=("synth",))
+    assert main(["basis", "--config", cfg_path]) == 4
+    assert "linearly dependent (rank 9 < p 12)" in capsys.readouterr().err
+    for role in ("psi", "phi"):
+        assert not (tmp_path / "out" / "bases" / f"{role}_r1_l1.csv").exists()
+
+
+def _scorecard_by_key(cfg_path) -> dict:
+    cfg = RunConfig.load(cfg_path)
+    card = ScoreCard.load(os.path.join(cfg.out_dir, "scorecard.csv"))
+    rows = {(r.region, r.model, r.lead): r for r in card.rows}
+    assert len(rows) == len(card.rows)  # one row per model per (region, lead)
+    assert all(np.isfinite(r.mse) and np.isfinite(r.ac) for r in card.rows)
+    return rows
+
+
+@pytest.mark.parametrize("variant, p_joint, p_pre", [("BA2", 6, 6), ("BA3", 4, 6)])
+def test_joint_basis_variants_run_end_to_end(tmp_path, variant, p_joint, p_pre):
+    cfg_path = _write_config(
+        tmp_path, variant=variant, p_joint=p_joint, p_pre=p_pre, leads=[1, 2],
+        baselines=["M1", "M5"],
+    )
+    _run_all(cfg_path)
+    rows = _scorecard_by_key(cfg_path)
+    assert set(rows) == {(1, m, lead) for m in (variant, "M1", "M5") for lead in (1, 2)}
+
+
+def test_ba4_with_an_auxiliary_field_end_to_end(tmp_path):
+    # Without aux_path the combined metric's auxiliary side is the response
+    # history; with it, the projected auxiliary field, which M7 reads too.
+    (tmp_path / "plain").mkdir()
+    common = dict(variant="BA4", leads=[1, 2], baselines=["M5", "M6", "M7"])
+    plain = _write_config(tmp_path / "plain", **common)
+    _run_all(plain)
+    aux_path = str(tmp_path / "aux.csv")
+    cfg_path = _write_config(tmp_path, aux_path=aux_path, **common)
+    _run_all(cfg_path, stages=("synth",))
+    resp = load_field(str(tmp_path / "out" / "data" / "response.csv"))
+    save_field(FieldSeries(np.tanh(resp.values) + 0.3, resp.coords, resp.times), aux_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _run_all(cfg_path, stages=("basis", "train", "forecast", "evaluate", "compare"))
+    rows = _scorecard_by_key(cfg_path)
+    assert set(rows) == {(1, m, lead) for m in ("BA4", "M5", "M6", "M7") for lead in (1, 2)}
+    cfg = RunConfig.load(cfg_path)
+    prep = pipeline.load_prepared(cfg)
+    for lead in (1, 2):
+        targets = prep.holdout_ics + lead - 1
+        err = prep.aux.values[:, targets] - prep.response.values[:, targets]
+        assert rows[(1, "M7", lead)].mse == pytest.approx(np.mean(err**2), rel=1e-12)
+    chain = "chains/chain_r1_l1.csv"
+    assert (tmp_path / "out" / chain).read_bytes() != (tmp_path / "plain" / "out" / chain).read_bytes()
+    messages = [str(w.message) for w in caught]
+    assert any("auxiliary persistence at lead 2" in m for m in messages)
+    assert not any("auxiliary persistence at lead 1" in m for m in messages)
+
+
+def test_m6_warns_when_the_lead_passes_the_period(tmp_path):
+    # M6 reads the target minus by_period, after the initial condition
+    # whenever the lead is longer than by_period.
+    cfg_path = _write_config(tmp_path, leads=[1, 2], baselines=["M6"])
+    _run_all(cfg_path, stages=("synth",))
+    for by_period, warned in ((1, [2]), (2, [])):
+        cfg = replace(RunConfig.load(cfg_path), by_period=by_period)
+        prep = pipeline.load_prepared(cfg)
+        for lead in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                (row,) = pipeline.baseline_rows(cfg, prep, 1, lead)
+            assert row.model == "M6" and np.isfinite(row.mse)
+            hits = [w for w in caught if str(w.message).startswith("M6 at lead")]
+            assert len(hits) == (lead in warned), (by_period, lead)

@@ -1,5 +1,6 @@
 import pytest
 
+from analogcast.bayes import PriorConfig, SamplerConfig
 from analogcast.config import RunConfig
 from analogcast.errors import ConfigError
 
@@ -69,6 +70,15 @@ def test_validation_names_the_offending_key():
         (dict(save_draws=1), "save_draws"),
         (dict(baselines=["M1", 5]), "baselines"),
         (dict(jobs=-1), "jobs"),
+        # Prior, sampler and metric values are refused at load, not at train.
+        (dict(mq_proposal="gibbs"), "mq_proposal"),
+        (dict(m_min=5, m_max=3), "m_min"),
+        (dict(q_min=30), "q_min"),
+        (dict(theta1_prop_sd=0.0), "theta1_prop_sd"),
+        (dict(gamma_prop_width=-1.0), "gamma_prop_width"),
+        (dict(sigma2_shape=0.0), "sigma2_shape"),
+        (dict(scale_norm="foo"), "scale_norm"),
+        (dict(exclusion_radius=-1), "exclusion_radius"),
     ]
     for kwargs, needle in cases:
         with pytest.raises(ConfigError, match=needle):
@@ -80,6 +90,16 @@ def test_effective_metric_follows_variant():
     assert RunConfig(variant="BA2").effective_metric == "procrustes"
     assert RunConfig(variant="BA4").effective_metric == "combined"
     assert RunConfig(variant="BA4", metric="euclidean").effective_metric == "euclidean"
+
+
+def test_priors_and_sampler_come_from_the_config():
+    assert RunConfig().priors() == PriorConfig()
+    assert RunConfig().sampler() == SamplerConfig()
+    assert RunConfig(variant="BA4").priors() == PriorConfig(with_gamma=True)
+    assert not RunConfig(variant="BA4", metric="procrustes").priors().with_gamma
+    cfg = RunConfig(m_max=9, q_min=3, theta1_rate=2.0, mq_proposal="uniform", gamma_prop_width=0.1)
+    assert cfg.priors() == PriorConfig(m_max=9, q_min=3, theta1_rate=2.0)
+    assert cfg.sampler() == SamplerConfig(mq_proposal="uniform", gamma_prop_width=0.1)
 
 
 def test_content_hash_ignores_execution_only_keys():

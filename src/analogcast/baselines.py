@@ -3,14 +3,16 @@
 Labels follow the comparison tables produced by the CLI:
 
 * M1 linear regression of future response coefficients on current
-  forcing coefficients (with intercept).
+  forcing coefficients, with a constant term.
 * M2 constructed analog: reconstruct the current forcing coefficients as
   a least-squares combination of library states and carry the weights
-  forward.  With the same intercept-augmented design, M2 reproduces M1
-  exactly on full-rank problems.
+  forward.  With the same constant coordinate in its design, M2
+  reproduces M1 exactly on full-rank problems.
 * M3 / M4 per-location AR(1) / AR(2) fits, iterated over the lead.
 * M5 per-location training-window mean (climatology).
-* M6 previous-period persistence relative to the target.
+* M6 previous-period persistence: the latest observed value of the
+  target's phase at or before the initial condition, target -
+  period * ceil(lead / period) with ``period`` the anomaly by_period.
 * M7 persistence of an auxiliary series read at the target period
   (realistic only at very short leads).
 * M8 (random forest) is not provided; the compare stage warns on stderr
@@ -54,9 +56,9 @@ def fit_predict_linear(
     train_ics: np.ndarray,
     test_ics: np.ndarray,
     tau: int,
-    intercept: bool = True,
 ) -> np.ndarray:
-    """M1: ordinary least squares from predictors at t to responses at t + tau.
+    """M1: ordinary least squares, with a constant term, from predictors
+    at t to responses at t + tau.
 
     ``predictors`` is (p_x, T), ``responses`` is (p_y, T); returns
     (p_y, n_test) forecasts for the test initial conditions.
@@ -70,9 +72,7 @@ def fit_predict_linear(
         raise ConfigError(f"tau must be >= 1, got {tau}")
     train_ics = _check_positions(train_ics, 1, T - tau, "training periods")
     test_ics = _check_positions(test_ics, 1, T - tau, "test periods")
-    design = predictors[:, train_ics - 1].T
-    if intercept:
-        design = np.column_stack([design, np.ones(design.shape[0])])
+    design = np.column_stack([predictors[:, train_ics - 1].T, np.ones(train_ics.size)])
     targets = responses[:, train_ics + tau - 1].T
     coef, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     if rank < design.shape[1]:
@@ -81,9 +81,7 @@ def fit_predict_linear(
             "using the minimum-norm solution",
             stacklevel=2,
         )
-    test_design = predictors[:, test_ics - 1].T
-    if intercept:
-        test_design = np.column_stack([test_design, np.ones(test_design.shape[0])])
+    test_design = np.column_stack([predictors[:, test_ics - 1].T, np.ones(test_ics.size)])
     return (test_design @ coef).T
 
 
@@ -93,14 +91,13 @@ def constructed_analog(
     library_ics: np.ndarray,
     test_ics: np.ndarray,
     tau: int,
-    intercept: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """M2: least-squares reconstruction weights over library states.
 
     Each test state is expressed as a minimum-norm least-squares
     combination of the library predictor states (plus a constant
-    coordinate when ``intercept`` so the affine family matches M1); the
-    same weights are applied to the library responses tau steps ahead.
+    coordinate, so the affine family matches M1); the same weights are
+    applied to the library responses tau steps ahead.
     Returns (forecasts (p_y, n_test), weights (n_lib, n_test)).
     """
     predictors = np.asarray(predictors, dtype=float)
@@ -110,11 +107,8 @@ def constructed_analog(
         raise ConfigError(f"tau must be >= 1, got {tau}")
     library_ics = _check_positions(library_ics, 1, T - tau, "library periods")
     test_ics = _check_positions(test_ics, 1, T, "test periods")
-    lib = predictors[:, library_ics - 1]
-    tgt = predictors[:, test_ics - 1]
-    if intercept:
-        lib = np.vstack([lib, np.ones(lib.shape[1])])
-        tgt = np.vstack([tgt, np.ones(tgt.shape[1])])
+    lib = np.vstack([predictors[:, library_ics - 1], np.ones(library_ics.size)])
+    tgt = np.vstack([predictors[:, test_ics - 1], np.ones(test_ics.size)])
     weights, _, rank, _ = np.linalg.lstsq(lib, tgt, rcond=None)
     if rank < min(lib.shape):
         warnings.warn(
@@ -207,21 +201,24 @@ def climatology(
 
 
 def persistence_previous(
-    values: np.ndarray, test_targets: np.ndarray, period: int = 1
+    values: np.ndarray, test_targets: np.ndarray, lead: int, period: int = 1
 ) -> np.ndarray:
-    """M6: the observed value one period before each target.
+    """M6: the latest observed value of each target's phase at or before
+    its initial condition, target - period * ceil(lead / period).
 
-    ``period`` is the length of one cycle in time steps (matching the
-    anomaly by_period), so yearly data forecast year-over-year uses the
-    same-phase value from the cycle before.
+    ``period`` is one cycle in time steps (the anomaly by_period), so
+    yearly data forecast a year ahead reads the same phase a cycle before.
     """
     if period < 1:
         raise ConfigError(f"period must be >= 1, got {period}")
+    if lead < 1:
+        raise ConfigError(f"lead must be >= 1, got {lead}")
+    back = period * -(-lead // period)
     values = np.asarray(values, dtype=float)
     test_targets = _check_positions(
-        test_targets, period + 1, values.shape[1], "test targets"
+        test_targets, back + 1, values.shape[1], "test targets"
     )
-    return values[:, test_targets - 1 - period]
+    return values[:, test_targets - 1 - back]
 
 
 def persistence_aux(

@@ -4,12 +4,14 @@ Three reductions are supported for an anomaly field (or a pair of fields):
 
 * EOF: left singular vectors of the (n_loc, n_time) anomaly matrix.
 * MEOF: EOFs of two fields standardized by their own total standard
-  deviation and stacked row-wise, so neither field dominates.
+  deviation and stacked row-wise, so neither field dominates.  Each
+  joint pattern is returned split into its forcing rows and its
+  response rows, a (forcing, response) pair; no stacked basis is kept.
 * CCA: canonical correlation between lagged EOF coefficients of a
-  forcing field and a response field; the returned spatial patterns are
-  the EOF bases times the canonical weight matrices.
+  forcing field and a response field; the returned (forcing, response)
+  patterns are the EOF bases times the canonical weight matrices.
 
-Projection is least squares, so non-orthonormal bases (MEOF blocks, CCA
+Projection is least squares, so non-orthonormal bases (MEOF halves, CCA
 patterns) are handled the same way as orthonormal EOFs.
 """
 
@@ -31,20 +33,17 @@ _CCA_RIDGE = 1e-8
 class BasisSet:
     """Spatial patterns as columns of ``matrix`` (n_rows, p).
 
-    ``n_forcing_rows`` marks the row split for stacked (MEOF) bases and
-    ``block`` labels a slice taken from such a stack.  ``correlations``
-    holds canonical correlations for CCA patterns.  ``ridged`` records
-    that a singular within-set covariance needed a diagonal ridge.
+    ``explained_variance`` (joint for both MEOF halves), CCA
+    ``correlations`` and ``ridged`` (a singular within-set covariance
+    needed a diagonal ridge) are diagnostics for the basis sidecars.
     """
 
     matrix: np.ndarray
     coords: np.ndarray
     kind: str  # "eof" | "meof" | "cca"
     explained_variance: np.ndarray | None = None
-    n_forcing_rows: int | None = None
     correlations: np.ndarray | None = None
     ridged: bool = False
-    block: str | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -63,21 +62,9 @@ class BasisSet:
 
 @dataclass(frozen=True)
 class CoefficientSeries:
-    """Basis coefficients over time, one column per time step."""
+    """Basis coefficients over time, one column per 1-based time position."""
 
     values: np.ndarray  # (p, n_time)
-    times: np.ndarray
-    basis: BasisSet
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        t = np.asarray(self.times, dtype=int)
-        if v.ndim != 2 or v.shape[0] != self.basis.p:
-            raise DataError("coefficient rows must match basis columns")
-        if t.shape != (v.shape[1],):
-            raise DataError("coefficient times do not match columns")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "times", t)
 
     @property
     def p(self) -> int:
@@ -133,45 +120,26 @@ def compute_eof(f: FieldSeries, p: int) -> BasisSet:
     return BasisSet(matrix=matrix, coords=f.coords, kind="eof", explained_variance=explained)
 
 
-def compute_meof(forcing: FieldSeries, response: FieldSeries, p: int) -> BasisSet:
-    """Joint EOFs of two fields standardized by their own total std and stacked."""
+def compute_meof(
+    forcing: FieldSeries, response: FieldSeries, p: int
+) -> tuple[BasisSet, BasisSet]:
+    """Joint EOFs of two fields standardized by their own total std and
+    stacked, returned split into their (forcing, response) rows.  The
+    halves are generally not orthonormal; projection handles that.  Both
+    carry the joint explained variance."""
     if not np.array_equal(forcing.times, response.times):
         raise DataError("MEOF inputs must share the same time axis")
-    n_rows = forcing.n_loc + response.n_loc
-    _check_p(p, n_rows, forcing.n_time)
+    _check_p(p, forcing.n_loc + response.n_loc, forcing.n_time)
     sd_f = float(forcing.values.std())
     sd_r = float(response.values.std())
     if sd_f == 0.0 or sd_r == 0.0:
         raise NumericError("cannot standardize a zero-variance field for MEOF")
     stacked = np.vstack([forcing.values / sd_f, response.values / sd_r])
     matrix, explained = _leading_patterns(stacked, p, "stacked anomaly matrix")
-    return BasisSet(
-        matrix=matrix,
-        coords=np.vstack([forcing.coords, response.coords]),
-        kind="meof",
-        explained_variance=explained,
-        n_forcing_rows=forcing.n_loc,
-    )
-
-
-def split_block(b: BasisSet, which: str) -> BasisSet:
-    """Slice the forcing or response rows out of a stacked (MEOF) basis.
-
-    The slice is generally not orthonormal; projection handles that.
-    """
-    if b.n_forcing_rows is None:
-        raise ConfigError("basis has no row split to slice")
-    if which == "forcing":
-        rows = slice(0, b.n_forcing_rows)
-    elif which == "response":
-        rows = slice(b.n_forcing_rows, b.matrix.shape[0])
-    else:
-        raise ConfigError(f"unknown block {which!r} (use forcing or response)")
-    return BasisSet(
-        matrix=b.matrix[rows],
-        coords=b.coords[rows],
-        kind=b.kind,
-        block=which,
+    n_f = forcing.n_loc
+    return (
+        BasisSet(matrix[:n_f], forcing.coords, "meof", explained_variance=explained),
+        BasisSet(matrix[n_f:], response.coords, "meof", explained_variance=explained),
     )
 
 
@@ -269,7 +237,7 @@ def project(f: FieldSeries, b: BasisSet) -> CoefficientSeries:
         raise NumericError(
             f"basis columns are linearly dependent (rank {rank} < p {b.p})"
         )
-    return CoefficientSeries(values=coeffs, times=f.times, basis=b)
+    return CoefficientSeries(coeffs)
 
 
 def save_basis(b: BasisSet, path: str) -> None:
@@ -279,12 +247,10 @@ def save_basis(b: BasisSet, path: str) -> None:
         "explained_variance": None
         if b.explained_variance is None
         else [repr(float(v)) for v in b.explained_variance],
-        "n_forcing_rows": b.n_forcing_rows,
         "correlations": None
         if b.correlations is None
         else [repr(float(v)) for v in b.correlations],
         "ridged": b.ridged,
-        "block": b.block,
     }
     header = ["lon", "lat"] + [f"b{j + 1}" for j in range(b.p)]
     write_table(path, header, np.column_stack([b.coords, b.matrix]).tolist(), meta)
@@ -305,8 +271,6 @@ def load_basis(path: str) -> BasisSet:
         coords=np.ascontiguousarray(values[:, :2]),
         kind=meta["kind"],
         explained_variance=None if ev is None else np.asarray([float(v) for v in ev]),
-        n_forcing_rows=meta.get("n_forcing_rows"),
         correlations=None if corrs is None else np.asarray([float(v) for v in corrs]),
         ridged=bool(meta.get("ridged", False)),
-        block=meta.get("block"),
     )

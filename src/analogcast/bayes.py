@@ -34,8 +34,10 @@ initial time), and their distances are single-row matrices.
 ``run_chain`` only samples: its residual is any ``ssr_fn``, by default a
 Procrustes engine's on the given data; the pipeline passes the ``ssr`` of
 the engine it built for the task, with the task's metric and store.
-``posterior_predict`` draws once per retained state and reports the mean
-and the central ``LEVEL`` band.
+``posterior_predict`` calls the engine's ``predictive_mean`` once per
+retained state (a repeated state hits the engine's sorted view, so it
+keeps no cache of its own), draws once around each mean, and reports the
+mean and the central ``LEVEL`` band.
 
 A ``Chain`` keeps its trace by column, one array per sampled parameter
 over all iterations (gamma only when the state carries one), and
@@ -551,6 +553,12 @@ def run_chain(
 LEVEL = 0.95  # probability inside a forecast's (lo, hi) band
 
 
+def central_band(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the central ``LEVEL`` band of ``draws`` along axis 0."""
+    alpha = 0.5 * (1.0 - LEVEL)
+    return np.quantile(draws, alpha, axis=0), np.quantile(draws, 1.0 - alpha, axis=0)
+
+
 @dataclass(frozen=True)
 class ForecastDistribution:
     """Posterior predictive draws for one initial condition.
@@ -560,11 +568,9 @@ class ForecastDistribution:
     mean by linearity.
     """
 
-    initial_time: int
     target_time: int
     coeff_draws: np.ndarray  # (n_draws, p)
     field_draws: np.ndarray  # (n_draws, n_loc)
-    coeff_mean: np.ndarray
     coeff_lo: np.ndarray
     coeff_hi: np.ndarray
     field_mean: np.ndarray
@@ -597,25 +603,21 @@ def posterior_predict(
     rng = np.random.default_rng(seed)
     p = responses.p
     draws = np.empty((len(kept), p))
-    mean_cache: dict = {}
     for i, s in enumerate(kept):
-        key = (s.theta1, s.m, s.q, s.gamma)
-        if key not in mean_cache:
-            mean_cache[key] = engine.predictive_mean(s, t_initial)
-        draws[i] = mean_cache[key] + math.sqrt(s.sigma2) * rng.standard_normal(p)
+        noise = math.sqrt(s.sigma2) * rng.standard_normal(p)
+        draws[i] = engine.predictive_mean(s, t_initial) + noise
     field = draws @ basis.matrix.T
-    alpha = 0.5 * (1.0 - LEVEL)
+    coeff_lo, coeff_hi = central_band(draws)
+    field_lo, field_hi = central_band(field)
     return ForecastDistribution(
-        initial_time=t_initial,
         target_time=t_initial + index.tau,
         coeff_draws=draws,
         field_draws=field,
-        coeff_mean=draws.mean(axis=0),
-        coeff_lo=np.quantile(draws, alpha, axis=0),
-        coeff_hi=np.quantile(draws, 1.0 - alpha, axis=0),
+        coeff_lo=coeff_lo,
+        coeff_hi=coeff_hi,
         field_mean=field.mean(axis=0),
-        field_lo=np.quantile(field, alpha, axis=0),
-        field_hi=np.quantile(field, 1.0 - alpha, axis=0),
+        field_lo=field_lo,
+        field_hi=field_hi,
     )
 
 

@@ -4,10 +4,12 @@ Positions are 1-based along the coefficient series.  The embedding at
 position t is the (p, q) matrix whose columns are the coefficients at
 t, t - lag, ..., t - lag*(q-1), so it exists for t >= lag*(q-1) + 1.
 
-A library built at the largest q under consideration contains every
-smaller embedding as a column prefix, which is what the sampler slices
-while it moves across q.  Candidate analog sets always start at
-lag*(q_max - 1) + 1 so their size does not depend on the current q.
+An ``EmbeddingLibrary`` stacks every valid embedding, the first at
+position ``first_valid``.  A library built at the largest q under
+consideration contains every smaller embedding as a column prefix, which
+is what the sampler slices while it moves across q.  Candidate analog
+sets always start at lag*(q_max - 1) + 1 so their size does not depend
+on the current q.
 """
 
 from __future__ import annotations
@@ -19,30 +21,19 @@ import numpy as np
 from .basis import CoefficientSeries
 from .errors import ConfigError
 
+
 @dataclass(frozen=True)
 class EmbeddingLibrary:
     """All valid delay-embedding matrices of one coefficient series."""
 
-    stack: np.ndarray  # (n_entries, p, q); entry i is the embedding at positions[i]
-    positions: np.ndarray  # (n_entries,) 1-based positions, contiguous ascending
+    stack: np.ndarray  # (n_entries, p, q); entry i is the embedding at first_valid + i
+    first_valid: int  # 1-based position of the first entry
     lag: int
     n_time: int
 
     @property
     def q(self) -> int:
         return self.stack.shape[2]
-
-    @property
-    def first_valid(self) -> int:
-        return int(self.positions[0])
-
-    def matrix_at(self, t: int) -> np.ndarray:
-        """Embedding matrix at 1-based position t."""
-        if t < self.first_valid or t > self.n_time:
-            raise ConfigError(
-                f"position {t} outside valid range [{self.first_valid}, {self.n_time}]"
-            )
-        return self.stack[t - self.first_valid]
 
 
 def build_library(c: CoefficientSeries, lag: int, q: int) -> EmbeddingLibrary:
@@ -67,7 +58,7 @@ def build_library(c: CoefficientSeries, lag: int, q: int) -> EmbeddingLibrary:
     stack = c.values[:, col_idx].transpose(1, 0, 2)
     return EmbeddingLibrary(
         stack=np.ascontiguousarray(stack),
-        positions=positions,
+        first_valid=first,
         lag=lag,
         n_time=c.n_time,
     )
@@ -79,17 +70,16 @@ class TrainingIndex:
 
     Each training period t is an initial-condition time whose realized
     response sits tau steps ahead.  Candidates run from
-    lag*(q_max - 1) + 1 through t_end - tau: the lower bound keeps the
-    pool size identical for every q up to q_max, the upper bound keeps
-    every candidate's response inside the training window.  The period
-    itself (plus any neighbor within ``exclusion_radius``) is dropped
-    from its own pool, since its response is the prediction target.
+    lag*(q_max - 1) + 1 through t_end - tau, t_end being the last
+    training period: the lower bound keeps the pool size identical for
+    every q up to q_max, the upper bound keeps every candidate's
+    response inside the training window.  The period itself (plus any
+    neighbor within ``exclusion_radius``) is dropped from its own pool,
+    since its response is the prediction target.
     """
 
     training_periods: np.ndarray  # (n_train,) 1-based positions
     candidates: np.ndarray  # (n_cand,) shared base pool, ascending
-    t_start: int
-    t_end: int
     tau: int
     lag: int
     q_max: int
@@ -143,8 +133,6 @@ def build_training_index(
     index = TrainingIndex(
         training_periods=np.arange(t_start, t_end + 1),
         candidates=np.arange(base_lo, base_lo + n_cand),
-        t_start=t_start,
-        t_end=t_end,
         tau=tau,
         lag=lib.lag,
         q_max=lib.q,

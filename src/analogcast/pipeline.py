@@ -48,11 +48,11 @@ from .basis import (
     load_basis,
     project,
     save_basis,
-    split_block,
 )
 from .bayes import (
     AnalogEngine,
     DistanceStore,
+    central_band,
     load_chain,
     posterior_predict,
     run_chain,
@@ -247,8 +247,7 @@ def compute_region_bases(
     if cfg.variant in ("BA1", "BA4"):
         psi, phi = compute_eof(prep.forcing, cfg.p_beta), compute_eof(resp, cfg.p_alpha)
     elif cfg.variant == "BA2":
-        meof = compute_meof(prep.forcing, resp, cfg.p_joint)
-        psi, phi = split_block(meof, "forcing"), split_block(meof, "response")
+        psi, phi = compute_meof(prep.forcing, resp, cfg.p_joint)
     else:  # BA3: lead-specific canonical patterns
         psi, phi = compute_cca(prep.forcing, resp, lead, cfg.p_pre, cfg.p_joint)
     project(prep.forcing, psi)
@@ -392,7 +391,7 @@ def _forecast_one(args: tuple, store: DistanceStore) -> str:
     spatial = []
     for cal, fd in zip(cals, fds):
         sp = fd.field_draws.mean(axis=1)
-        spatial.append([cal, sp.mean(), np.quantile(sp, 0.025), np.quantile(sp, 0.975)])
+        spatial.append([cal, sp.mean(), *central_band(sp)])
     write_table(path_forecast(cfg, region, lead, spatial=True), _SPATIAL_HEADER, spatial)
     if cfg.save_draws:
         p = fds[0].coeff_draws.shape[1]
@@ -459,8 +458,8 @@ def stage_evaluate(cfg: RunConfig) -> str:
             spatial = parse_rows(
                 sp_path, pairs, lambda r: [int(r[0]), float(r[1]), float(r[2]), float(r[3])]
             )
-            if len(spatial) != positions.size:
-                raise DataError(f"{sp_path}: row count does not match the forecast file")
+            if [r[0] for r in spatial] != prep.response.times[positions - 1].tolist():
+                raise DataError(f"{sp_path}: target times do not match the forecast file")
             write_table(
                 path_series(cfg, region, lead),
                 ["target_time", "realized_mean", "forecast_mean", "lo", "hi"],
@@ -508,13 +507,7 @@ def baseline_rows(cfg: RunConfig, prep: Prepared, region: int, lead: int) -> lis
         elif label == "M5":
             fc = bl.climatology(resp.values, window, targets.size)
         elif label == "M6":
-            if lead > cfg.by_period:
-                warnings.warn(
-                    f"M6 at lead {lead} reads the response {lead - cfg.by_period} step(s) "
-                    f"after the initial condition (by_period={cfg.by_period})",
-                    stacklevel=2,
-                )
-            fc = bl.persistence_previous(resp.values, targets, cfg.by_period)
+            fc = bl.persistence_previous(resp.values, targets, lead, cfg.by_period)
         elif label == "M7":
             if prep.aux is None:
                 warnings.warn("M7 skipped: no aux_path configured", stacklevel=2)

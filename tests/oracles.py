@@ -13,27 +13,26 @@ import numpy as np
 
 from analogcast.basis import BasisSet, CoefficientSeries
 from analogcast.data import FieldSeries
+from analogcast.embedding import EmbeddingLibrary
 from analogcast.kernel import topk_weights
 from analogcast.metric import combined_distance, euclidean_distances, procrustes_distances
 
 
-def identity_series(values: np.ndarray, times=None) -> CoefficientSeries:
-    """Wrap a raw (p, T) array as a coefficient series on an identity basis."""
-    values = np.asarray(values, dtype=float)
-    p, T = values.shape
-    basis = BasisSet(
-        matrix=np.eye(p),
-        coords=np.column_stack([np.arange(p, dtype=float), np.zeros(p)]),
-        kind="eof",
-    )
-    if times is None:
-        times = np.arange(1, T + 1)
-    return CoefficientSeries(values=values, times=np.asarray(times), basis=basis)
+def identity_series(values: np.ndarray) -> CoefficientSeries:
+    """Wrap a raw (p, T) array as a coefficient series, read as the
+    coefficients of an identity basis."""
+    return CoefficientSeries(np.asarray(values, dtype=float))
 
 
-def reconstruct(c: CoefficientSeries) -> FieldSeries:
-    """Map coefficients back to the field grid of their basis."""
-    return FieldSeries(values=c.basis.matrix @ c.values, coords=c.basis.coords, times=c.times)
+def reconstruct(c: CoefficientSeries, basis: BasisSet, times) -> FieldSeries:
+    """Map coefficients back to the field grid of ``basis`` at ``times``."""
+    return FieldSeries(values=basis.matrix @ c.values, coords=basis.coords, times=times)
+
+
+def embedding_at(lib: EmbeddingLibrary, t: int) -> np.ndarray:
+    """The library's (p, q) embedding matrix at 1-based position t."""
+    assert lib.first_valid <= t <= lib.n_time, f"position {t} outside the library"
+    return lib.stack[t - lib.first_valid]
 
 
 def weight_oracle(candidate_ids, distances, theta1: float, m: int):
@@ -65,8 +64,8 @@ def analog_mean(state, lib, responses, t_initial: int, tau: int, candidates,
     candidates = [int(t) for t in candidates]
 
     def dists(library, fn):
-        tgt = library.matrix_at(t_initial)[None, :, :q]
-        comps = np.stack([library.matrix_at(t)[:, :q] for t in candidates])
+        tgt = embedding_at(library, t_initial)[None, :, :q]
+        comps = np.stack([embedding_at(library, t)[:, :q] for t in candidates])
         return [float(d) for d in fn(tgt, comps)[0]]
 
     dist = dists(lib, euclidean_distances if metric == "euclidean" else procrustes_distances)

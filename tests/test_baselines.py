@@ -48,17 +48,17 @@ def test_constructed_analog_equals_regression_when_full_rank():
 
 def test_constructed_analog_recovers_exact_library_state():
     # A test state that IS a library state reconstructs as a one-hot
-    # weight vector whenever the library columns are independent.
+    # weight vector whenever the library columns, each with its constant
+    # coordinate, are independent (here a 7 x 5 design of full rank).
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 30))
     y = rng.normal(size=(2, 30))
     lib = np.array([3, 7, 12, 18, 22])
     test = np.array([12])
-    _, weights = constructed_analog(x, y, lib, test, tau=2, intercept=False)
+    fc, weights = constructed_analog(x, y, lib, test, tau=2)
     want = np.zeros(5)
     want[2] = 1.0
     assert np.allclose(weights[:, 0], want, atol=1e-8)
-    fc, _ = constructed_analog(x, y, lib, test, tau=2, intercept=False)
     assert np.allclose(fc[:, 0], y[:, 12 + 2 - 1], atol=1e-8)
 
 
@@ -137,9 +137,17 @@ def test_persistence_baselines_read_the_right_columns():
     values = rng.normal(size=(3, 40))
     aux = rng.normal(size=(2, 40))
     targets = np.array([20, 30, 40])
-    assert np.array_equal(persistence_previous(values, targets), values[:, targets - 2])
+    # The latest same-phase value at or before the initial condition
+    # target - lead: target - period * ceil(lead / period).
+    for lead, period, back in ((1, 1, 1), (3, 1, 3), (3, 2, 4), (6, 6, 6), (1, 12, 12)):
+        got = persistence_previous(values, targets, lead, period)
+        assert np.array_equal(got, values[:, targets - 1 - back]), (lead, period)
     with pytest.raises(ConfigError):
-        persistence_previous(values, np.array([1]))  # nothing before period 1
+        persistence_previous(values, np.array([1]), 1)  # nothing before period 1
+    with pytest.raises(ConfigError):
+        persistence_previous(values, np.array([3]), 3)  # the value would sit at 0
+    with pytest.raises(ConfigError):
+        persistence_previous(values, targets, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = persistence_aux(aux, targets, tau=1)
@@ -184,6 +192,15 @@ def test_baselines_never_read_outside_their_windows():
     vp2 = values.copy()
     vp2[:, 40:] = 1e6  # beyond the window
     assert np.array_equal(climatology(vp2, window, 2), clim)
+
+    # M6 reads nothing after the initial condition, target - lead.
+    ic = 45
+    vp3 = values.copy()
+    vp3[:, ic:] = 1e6  # every column after the initial condition
+    for lead, period in ((1, 1), (3, 1), (3, 2), (6, 6)):
+        target = np.array([ic + lead])
+        m6 = persistence_previous(values, target, lead, period)
+        assert np.array_equal(persistence_previous(vp3, target, lead, period), m6)
 
 
 def test_labels_and_validation_errors():

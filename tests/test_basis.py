@@ -10,7 +10,6 @@ from analogcast.basis import (
     load_basis,
     project,
     save_basis,
-    split_block,
 )
 from analogcast.data import FieldSeries
 from analogcast.errors import ConfigError, DataError, NumericError
@@ -83,9 +82,8 @@ def test_projection_matches_normal_equations():
 def test_reconstruct_round_trips_in_span():
     f = _anom_field(5)
     b = compute_eof(f, f.n_loc)  # full basis: exact reconstruction
-    g = reconstruct(project(f, b))
+    g = reconstruct(project(f, b), b, f.times)
     assert np.allclose(g.values, f.values, atol=1e-8)
-    assert np.array_equal(g.times, f.times)
     with pytest.raises(DataError):
         project(_anom_field(6, n_loc=12), b)  # location mismatch
     dep = BasisSet(np.ones((20, 2)), b.coords, kind="eof")
@@ -98,7 +96,7 @@ def test_meof_matches_dense_eigendecomposition():
     response = _anom_field(8, n_loc=16, lon0=200.0)
     # Scale the response up so unstandardized stacking would let it dominate.
     response = FieldSeries(response.values * 40.0, response.coords, response.times)
-    b = compute_meof(forcing, response, 4)
+    psi, phi = compute_meof(forcing, response, 4)
     stacked = np.vstack(
         [
             forcing.values / forcing.values.std(),
@@ -106,29 +104,22 @@ def test_meof_matches_dense_eigendecomposition():
         ]
     )
     evals, evecs = np.linalg.eigh(stacked @ stacked.T)
+    joint = np.vstack([psi.matrix, phi.matrix])
     lead = evecs[:, -1]
-    cos = abs(lead @ b.matrix[:, 0]) / np.linalg.norm(lead)
+    cos = abs(lead @ joint[:, 0]) / np.linalg.norm(lead)
     assert cos > 0.999
-    assert b.n_forcing_rows == 9
-    assert b.matrix.shape == (25, 4)
-    assert b.explained_variance.sum() <= 1.0 + 1e-12
+    # The pair is the forcing and response row blocks of one orthonormal
+    # set of joint patterns, on each field's own grid.
+    assert psi.matrix.shape == (9, 4) and phi.matrix.shape == (16, 4)
+    assert np.allclose(joint.T @ joint, np.eye(4), atol=1e-10)
+    assert np.array_equal(psi.coords, forcing.coords)
+    assert np.array_equal(phi.coords, response.coords)
+    assert psi.kind == phi.kind == "meof"
+    # Both blocks carry the joint explained variance.
+    assert np.array_equal(psi.explained_variance, phi.explained_variance)
+    assert np.allclose(psi.explained_variance, evals[::-1][:4] / evals.sum(), rtol=1e-8)
     with pytest.raises(DataError):
         compute_meof(forcing, _anom_field(9, n_loc=16, n_time=49), 4)
-
-
-def test_split_block_slices_rows():
-    forcing = _anom_field(10, n_loc=6)
-    response = _anom_field(11, n_loc=10, lon0=200.0)
-    b = compute_meof(forcing, response, 3)
-    top = split_block(b, "forcing")
-    bottom = split_block(b, "response")
-    assert np.array_equal(top.matrix, b.matrix[:6])
-    assert np.array_equal(bottom.matrix, b.matrix[6:])
-    assert top.block == "forcing" and bottom.block == "response"
-    with pytest.raises(ConfigError):
-        split_block(b, "middle")
-    with pytest.raises(ConfigError):
-        split_block(compute_eof(forcing, 2), "forcing")
 
 
 def test_cca_correlations_invariant_to_coefficient_rescaling():

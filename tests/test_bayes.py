@@ -177,14 +177,15 @@ def test_predictive_mean_uses_full_candidate_pool():
     for metric, gamma in _METRIC_CASES:
         eng, lib, responses, index = _engine(metric, seed=6, T=50)
         state = ModelState(theta1=0.9, m=5, q=3, sigma2=1.0, gamma=gamma)
-        for t_init in (index.t_end, 14):  # furthest initial condition; the degenerate one
+        t_end = int(index.training_periods[-1])
+        for t_init in (t_end, 14):  # furthest initial condition; the degenerate one
             want = analog_mean(
                 state, lib, responses, t_init, index.tau, index.candidates, metric, eng.aux_lib
             )
             got = eng.predictive_mean(state, t_init)
             assert np.allclose(got, want, atol=1e-12), (metric, gamma, t_init)
         with pytest.raises(ConfigError):
-            eng.predictive_mean(replace(state, q=9), index.t_end)
+            eng.predictive_mean(replace(state, q=9), t_end)
         for t_init in (lib.first_valid - 1, lib.n_time + 1, lib.n_time + 10):
             with pytest.raises(ConfigError, match="initial condition"):
                 eng.predictive_mean(state, t_init)
@@ -201,6 +202,7 @@ def test_sorted_views_match_the_full_sort_oracle_bit_for_bit():
         for radius in (0, 2):
             for m_max in (6, None):  # None: the whole candidate pool
                 eng, lib, responses, index = _engine(metric, 22, 40, radius, m_max)
+                t_end = int(index.training_periods[-1])
                 for _ in range(45):
                     gamma = float(rng.choice([0.0, 0.4, 1.0, rng.random()]))
                     state = ModelState(
@@ -212,7 +214,7 @@ def test_sorted_views_match_the_full_sort_oracle_bit_for_bit():
                         dist = full_distances(state, lib, index, None, metric, eng.aux_lib)
                         m_choices.append(int(np.isfinite(dist).sum(axis=1).min()))
                     state = replace(state, m=int(rng.choice(m_choices)))
-                    t_init = int(rng.choice([14, index.t_end, rng.integers(lib.first_valid, 41)]))
+                    t_init = int(rng.choice([14, t_end, rng.integers(lib.first_valid, 41)]))
                     args = (lib, responses, index)
                     assert eng.ssr(state) == full_sort_ssr(state, *args, metric, eng.aux_lib)
                     assert np.array_equal(
@@ -232,7 +234,7 @@ def test_engine_cache_bounds():
             with pytest.raises(ConfigError):
                 eng.ssr(bad)
             with pytest.raises(ConfigError):
-                eng.predictive_mean(bad, index.t_end)
+                eng.predictive_mean(bad, int(index.training_periods[-1]))
     # A BA4 chain moves gamma continuously; the engine keeps the current
     # (q, gamma) view and the last proposed one, so a sweep builds at most
     # two views (the q and gamma proposals) and the theta1 and m steps hit.
@@ -543,20 +545,21 @@ def test_posterior_predict_pushes_draws_through_basis():
     )
     rng = np.random.default_rng(10)
     phi = BasisSet(rng.normal(size=(6, 3)), np.zeros((6, 2)), kind="eof")
-    fc = posterior_predict(chain, lib, responses, index, index.t_end, phi, thin=5, seed=7)
+    t_end = int(index.training_periods[-1])
+    fc = posterior_predict(chain, lib, responses, index, t_end, phi, thin=5, seed=7)
     assert len(chain.retained(5)) == 8  # one draw per retained state
     assert fc.coeff_draws.shape == (8, 3)
     assert fc.field_draws.shape == (8, 6)
     assert np.allclose(fc.field_draws, fc.coeff_draws @ phi.matrix.T, atol=1e-12)
-    assert np.allclose(fc.field_mean, phi.matrix @ fc.coeff_mean, atol=1e-10)
+    assert np.allclose(fc.field_mean, phi.matrix @ fc.coeff_draws.mean(axis=0), atol=1e-10)
     assert (fc.field_lo <= fc.field_hi).all() and (fc.coeff_lo <= fc.coeff_hi).all()
-    assert fc.target_time == index.t_end + index.tau
-    again = posterior_predict(chain, lib, responses, index, index.t_end, phi, thin=5, seed=7)
+    assert fc.target_time == t_end + index.tau
+    again = posterior_predict(chain, lib, responses, index, t_end, phi, thin=5, seed=7)
     assert np.array_equal(fc.coeff_draws, again.coeff_draws)
-    other = posterior_predict(chain, lib, responses, index, index.t_end, phi, thin=5, seed=8)
+    other = posterior_predict(chain, lib, responses, index, t_end, phi, thin=5, seed=8)
     assert not np.allclose(fc.coeff_draws, other.coeff_draws)
     with pytest.raises(ConfigError):
-        posterior_predict(chain, lib, responses, index, index.t_end, phi, thin=0)
+        posterior_predict(chain, lib, responses, index, t_end, phi, thin=0)
 
 
 def test_chain_save_load_round_trip(tmp_path):

@@ -3,7 +3,6 @@ import json
 import os
 import shutil
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,6 +217,21 @@ def test_malformed_artifact_exits_3(tmp_path, capsys, forecast_run, stage, rel, 
     assert str(path) in capsys.readouterr().err
 
 
+def test_evaluate_refuses_a_spatial_band_for_other_targets(tmp_path, capsys, forecast_run):
+    # Well-formed rows whose target times are not the forecast file's.
+    shutil.copytree(forecast_run, tmp_path / "out")
+    cfg_path = _write_config(tmp_path)
+    path = tmp_path / "out" / "forecasts" / "fc_r1_l1_spatial.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    for k in range(1, len(lines)):
+        time, rest = lines[k].split(",", 1)
+        lines[k] = f"{int(time) + 40},{rest}"
+    path.write_text("".join(lines))
+    assert main(["evaluate", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "target times" in err
+
+
 @pytest.mark.parametrize("damage", ["missing key", "wrong type"])
 @pytest.mark.parametrize(
     "rel, key, wrong",
@@ -313,20 +327,3 @@ def test_ba4_with_an_auxiliary_field_end_to_end(tmp_path):
     messages = [str(w.message) for w in caught]
     assert any("auxiliary persistence at lead 2" in m for m in messages)
     assert not any("auxiliary persistence at lead 1" in m for m in messages)
-
-
-def test_m6_warns_when_the_lead_passes_the_period(tmp_path):
-    # M6 reads the target minus by_period, after the initial condition
-    # whenever the lead is longer than by_period.
-    cfg_path = _write_config(tmp_path, leads=[1, 2], baselines=["M6"])
-    _run_all(cfg_path, stages=("synth",))
-    for by_period, warned in ((1, [2]), (2, [])):
-        cfg = replace(RunConfig.load(cfg_path), by_period=by_period)
-        prep = pipeline.load_prepared(cfg)
-        for lead in (1, 2):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                (row,) = pipeline.baseline_rows(cfg, prep, 1, lead)
-            assert row.model == "M6" and np.isfinite(row.mse)
-            hits = [w for w in caught if str(w.message).startswith("M6 at lead")]
-            assert len(hits) == (lead in warned), (by_period, lead)

@@ -4,7 +4,7 @@ import pytest
 from analogcast.embedding import build_library, build_training_index
 from analogcast.errors import ConfigError
 
-from oracles import brute_training_index, identity_series
+from oracles import brute_training_index, embedding_at, identity_series
 
 
 def test_library_example_lag2_q3():
@@ -12,10 +12,9 @@ def test_library_example_lag2_q3():
     series = identity_series(np.arange(20, dtype=float).reshape(2, 10))
     lib = build_library(series, lag=2, q=3)
     assert lib.first_valid == 5
-    assert lib.positions.tolist() == [5, 6, 7, 8, 9, 10]
     assert lib.stack.shape == (6, 2, 3)
     # Columns at position t are the coefficients at t, t-2, t-4.
-    m = lib.matrix_at(7)
+    m = embedding_at(lib, 7)
     assert np.array_equal(m[:, 0], series.values[:, 6])
     assert np.array_equal(m[:, 1], series.values[:, 4])
     assert np.array_equal(m[:, 2], series.values[:, 2])
@@ -27,8 +26,8 @@ def test_library_column_prefix_property():
     full = build_library(series, lag=2, q=8)
     small = build_library(series, lag=2, q=3)
     # Every embedding at a smaller q is the column prefix of the larger one.
-    for t in full.positions:
-        assert np.array_equal(full.matrix_at(int(t))[:, :3], small.matrix_at(int(t)))
+    for t in range(full.first_valid, full.n_time + 1):
+        assert np.array_equal(embedding_at(full, t)[:, :3], embedding_at(small, t))
 
 
 def test_library_rebuild_is_bit_identical():
@@ -37,14 +36,14 @@ def test_library_rebuild_is_bit_identical():
     a = build_library(series, lag=1, q=5)
     b = build_library(series, lag=1, q=5)
     assert np.array_equal(a.stack, b.stack)
-    assert np.array_equal(a.positions, b.positions)
+    assert a.first_valid == b.first_valid
 
 
 def test_library_lag_zero_repeats_current():
     series = identity_series(np.random.default_rng(32).normal(size=(2, 6)))
     lib = build_library(series, lag=0, q=4)
     assert lib.first_valid == 1
-    m = lib.matrix_at(3)
+    m = embedding_at(lib, 3)
     for j in range(4):
         assert np.array_equal(m[:, j], series.values[:, 2])
 
@@ -57,9 +56,6 @@ def test_library_errors():
         build_library(series, lag=-1, q=2)
     with pytest.raises(ConfigError):
         build_library(series, lag=5, q=4)  # first valid 16 > 10
-    lib = build_library(series, lag=1, q=3)
-    with pytest.raises(ConfigError):
-        lib.matrix_at(2)
 
 
 def test_training_index_matches_brute_force_enumeration():

@@ -31,14 +31,20 @@ def test_tracer_sees_every_hook_the_benchmark_reads(tmp_path):
     cfg_path = str(tmp_path / "run.json")
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
+    stages = ("synth", "basis", "train", "forecast", "evaluate", "compare")
     tracer = _load_tracer().Tracer()
     with tracer:
-        for stage in ("synth", "basis", "train", "forecast"):
+        for stage in stages:
             assert main([stage, "--config", cfg_path, "--jobs", "1"]) == 0, stage
     s = tracer.summary()
     for name in (
         "pipeline.task.train", "pipeline.task.forecast",
         "pipeline.build_setup", "pipeline.load_prepared",
+        # the span names perfbench/run.py::layer_metrics reads
+        "data.load_field", "basis.compute_eof", "basis.project", "embedding.build_library",
+        "bayes.save_chain", "bayes.load_chain", "bayes.AnalogEngine.predictive_mean",
+        "pipeline.baseline_rows", "scores.score_forecasts",
+        *(f"pipeline.stage_{stage}" for stage in stages),
     ):
         assert s.calls(name) >= 1, name
     under_ssr, _ = s.children("bayes.AnalogEngine.ssr", "metric.procrustes_distances")

@@ -16,7 +16,10 @@ Distances never depend on theta1 or m.  A ``DistanceStore`` owns the raw
 rows, q, metric, scale norm), built on first use (embeddings at smaller q
 are column prefixes of the q_max library).  Its columns cover the widest
 candidate pool it serves, and each engine reads a column prefix, so every
-chain over the same forcing library shares every matrix.  The pipeline
+chain over the same forcing library shares every matrix.  A Procrustes
+matrix for the training rows is cut from one symmetric call over the
+union block (the library's entries up to the last training row, which
+hold every pool), so each unordered pair's SVD runs once.  The pipeline
 makes one store per stage and process; it keeps only the most recently
 used library of each role (main, and the combined metric's auxiliary
 side), and an engine built without a store makes its own.
@@ -42,7 +45,8 @@ mean and the central ``LEVEL`` band.
 A ``Chain`` keeps its trace by column, one array per sampled parameter
 over all iterations (gamma only when the state carries one), and
 ``save_chain`` writes it as one CSV row per iteration.  ``Chain.retained``
-rebuilds ``ModelState``s where the engine needs them.
+builds the ``ModelState``s the engine needs once per thinning step, so
+the forecasts from every initial condition of a task share them.
 """
 
 from __future__ import annotations
@@ -162,10 +166,16 @@ class DistanceStore:
     A matrix holds the distances from some target rows of a library to its
     first ``n_cols`` entries, the widest candidate pool the store serves;
     every pool starts at the library's first entry, so an engine reads a
-    column prefix.  It is keyed by a digest of the library's values and the
-    target rows, never by (region, lead), so two libraries that differ in
-    any value never share a matrix.  Only the most recently used library
-    of each role ("main", "aux") keeps its matrices.
+    column prefix.  Procrustes distances from training rows are cut from
+    one symmetric call over the union block, the library's entries up to
+    the last row.  Every pool ends before the last training period, so the
+    block holds it, and the block depends only on the rows, so a shared
+    and a private store give the same bits.  A single (forecast) row is
+    measured against the pool alone.  A matrix is keyed by a digest of the
+    library's values and the target rows, never by (region, lead), so two
+    libraries that differ in any value never share a matrix.  Only the
+    most recently used library of each role ("main", "aux") keeps its
+    matrices.
     """
 
     def __init__(self, n_cols: int):
@@ -189,8 +199,12 @@ class DistanceStore:
             comps = lib.stack[: self.n_cols, :, :q]
             if metric == "euclidean":
                 matrices[key] = euclidean_distances(targets, comps)
-            else:
+            elif rows.size == 1:  # a forecast row
                 matrices[key] = procrustes_distances(targets, comps, scale_norm=scale_norm)
+            else:  # training rows: the union block, each unordered pair once
+                union = lib.stack[: rows.max() + 1, :, :q]
+                dist = procrustes_distances(union, union, scale_norm=scale_norm)
+                matrices[key] = dist[rows][:, : self.n_cols]
         return matrices[key]
 
 
@@ -464,6 +478,7 @@ class Chain:
     burn_in: int
     accept_rates: dict = field(default_factory=dict)
     seed: int | None = None
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.log_posts)
@@ -471,9 +486,12 @@ class Chain:
             raise ConfigError(f"burn_in={self.burn_in} must lie in [0, iterations={n})")
 
     def retained(self, thin: int = 1) -> list[ModelState]:
-        """Every ``thin``-th state after the burn-in, as ``ModelState``s."""
-        cols = [v[self.burn_in :: thin].tolist() for v in self.draws.values()]
-        return [ModelState(*values) for values in zip(*cols)]
+        """Every ``thin``-th state after the burn-in, as ``ModelState``s,
+        built on the first call for each ``thin``."""
+        if thin not in self._kept:
+            cols = [v[self.burn_in :: thin].tolist() for v in self.draws.values()]
+            self._kept[thin] = tuple(ModelState(*values) for values in zip(*cols))
+        return list(self._kept[thin])
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {k: v[self.burn_in :] for k, v in self.draws.items()}

@@ -13,6 +13,20 @@ asymmetric: the candidate is always the aligned side and the normalizer.
 It is zero exactly when the candidate equals the target up to rotation,
 scale and per-column shifts, and it never exceeds the normalized best
 rotation-only residual, so values stay O(1) for any field units.
+
+The batched ``procrustes_distances`` needs only tr(Sigma), the nuclear
+norm of C~' T~, and computes it at the rank it has:
+
+- A centered p x q embedding has rank at most min(p - 1, q).  For q >= p
+  each entry is mapped onto an orthonormal (Helmert) basis of the
+  sum-zero subspace and reduced to one (p - 1) x (p - 1) triangular
+  factor R, and the norm is that of R_j R_i'.  For q < p the q x q cross
+  product is used as it is.
+- Given the same array on both sides (``targets is comparisons``), it
+  computes each unordered pair once and mirrors it, so the nuclear norms
+  are exactly symmetric; the distances are not, through the normalizer.
+- Pairs are evaluated in blocks of about ``_BLOCK_ROWS`` target rows, so
+  the peak holds a few thousand small matrices, never all of them.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 _DEGENERATE_TOL = 1e-300
+_BLOCK_ROWS = 8  # target rows per block of pairs held at once
 
 METRICS = ("euclidean", "procrustes", "combined")
 SCALE_NORMS = ("centered", "raw")
@@ -102,6 +117,54 @@ def _raw_norm2(comparison: np.ndarray, scale_norm: str) -> float:
     return n2
 
 
+def _sum_zero_basis(p: int) -> np.ndarray:
+    """(p, p - 1) Helmert basis: orthonormal columns that each sum to zero."""
+    k = np.arange(1, p)
+    rows = np.arange(p)[:, None]
+    return ((rows < k) - k * (rows == k)) / np.sqrt(k * (k + 1.0))
+
+
+def _factors(centered: np.ndarray) -> np.ndarray:
+    """Per-entry factors X with ||X_j' X_i||_* = ||C~_j' T~_i||_*.
+
+    For q < p that is the centered (p, q) embedding itself.  For q >= p
+    the columns of C~ lie in the sum-zero subspace, so C~ = H A with H the
+    Helmert basis and A = H' C~.  With the QR factorization A' = Q R,
+    C~_j' T~_i = Q_j R_j R_i' Q_i', whose singular values are those of
+    R_j R_i'; X = R' is (p - 1, p - 1).
+    """
+    p, q = centered.shape[-2:]
+    if q < p:
+        return centered
+    reduced = np.swapaxes(centered, -1, -2) @ _sum_zero_basis(p)  # (n, q, p - 1) = A'
+    return np.swapaxes(np.linalg.qr(reduced, mode="r"), -1, -2)
+
+
+def _nuclear_norms(tc: np.ndarray, cc: np.ndarray) -> np.ndarray:
+    """(n_t, n_c) sums of the singular values of C~_j' T~_i, from the
+    centered embeddings, through their ``_factors``.
+
+    Given the same array twice, each unordered pair is computed once and
+    mirrored.  Either way a block holds the pairs of about ``_BLOCK_ROWS``
+    target rows.
+    """
+    xt = _factors(tc)
+    s = np.empty((len(tc), len(cc)))
+    if tc is cc:
+        ii, jj = np.triu_indices(len(xt))
+        step = _BLOCK_ROWS * max(len(xt), 1)
+        for a in range(0, ii.size, step):
+            i, j = ii[a : a + step], jj[a : a + step]
+            cross = np.einsum("naq,nar->nqr", xt[j], xt[i])
+            s[i, j] = s[j, i] = np.linalg.svd(cross, compute_uv=False).sum(axis=-1)
+        return s
+    xc = _factors(cc)
+    for a in range(0, len(xt), _BLOCK_ROWS):
+        cross = np.einsum("jaq,iar->ijqr", xc, xt[a : a + _BLOCK_ROWS])  # (b, n_c, ., .)
+        s[a : a + _BLOCK_ROWS] = np.linalg.svd(cross, compute_uv=False).sum(axis=-1)
+    return s
+
+
 def procrustes_distances(
     targets: np.ndarray, comparisons: np.ndarray, scale_norm: str = "centered"
 ) -> np.ndarray:
@@ -110,23 +173,25 @@ def procrustes_distances(
     Only singular values are needed here: with s = tr(Sigma) the squared
     residual at the optimum is ||T~||^2 - 2 theta s + theta^2 ||C~||^2.
     Degenerate candidates (zero centered norm) give +inf columns instead
-    of raising, so callers can rank them as maximally distant.
+    of raising, so callers can rank them as maximally distant.  Pass the
+    same array as both arguments for the distances among its entries:
+    each unordered pair's s is then computed once.
     """
     if scale_norm not in SCALE_NORMS:
         raise ConfigError(f"unknown scale_norm {scale_norm!r} (use one of {SCALE_NORMS})")
+    symmetric = targets is comparisons
     targets = np.asarray(targets, dtype=float)
-    comparisons = np.asarray(comparisons, dtype=float)
+    comparisons = targets if symmetric else np.asarray(comparisons, dtype=float)
     if targets.shape[1:] != comparisons.shape[1:]:
         raise ConfigError(
             f"shape mismatch {targets.shape[1:]} vs {comparisons.shape[1:]}"
         )
     tc = _center_cols(targets)
-    cc = _center_cols(comparisons)
+    cc = tc if symmetric else _center_cols(comparisons)
     t2 = np.einsum("ipq,ipq->i", tc, tc)
     c2 = np.einsum("jpq,jpq->j", cc, cc)
     ok = c2 > _DEGENERATE_TOL
-    cross = np.einsum("jpq,ipr->ijqr", cc, tc)  # (n_t, n_c, q, q) = C~' T~
-    s = np.linalg.svd(cross, compute_uv=False).sum(axis=-1)
+    s = _nuclear_norms(tc, cc)
     with np.errstate(divide="ignore", invalid="ignore"):
         if scale_norm == "centered":
             theta = s / c2[None, :]

@@ -100,7 +100,13 @@ def full_distances(state, lib, index, t_initial=None, metric="procrustes",
         t, c = library.stack[rows][:, :, :q], library.stack[comps][:, :, :q]
         if metric == "euclidean":
             return euclidean_distances(t, c)
-        return procrustes_distances(t, c)
+        if t_initial is not None:
+            return procrustes_distances(t, c)
+        # Training rows go through the store's one symmetric call over the
+        # union of rows and pool; ``test_procrustes_matches_the_q_by_q_oracle``
+        # checks its distances, this oracle the sorting around them.
+        union = library.stack[: max(rows.max(), comps.max()) + 1, :, :q]
+        return procrustes_distances(union, union)[rows][:, comps]
 
     dist = pairwise(lib)
     if metric == "combined":
@@ -127,6 +133,35 @@ def full_sort_ssr(state, lib, responses, index, metric="procrustes", aux_lib=Non
     targets = responses.values[:, index.training_periods + index.tau - 1].T
     resid = targets - full_sort_means(state, lib, responses, index, None, metric, aux_lib)
     return float(np.sum(resid * resid))
+
+
+def cross_product_nuclear_norms(targets: np.ndarray, comparisons: np.ndarray) -> np.ndarray:
+    """(n_t, n_c) sums of the singular values of every pair's centered
+    q x q cross product C~_j' T~_i, at full size whatever its rank."""
+    tc = targets - targets.mean(axis=1, keepdims=True)
+    cc = comparisons - comparisons.mean(axis=1, keepdims=True)
+    cross = np.einsum("jpq,ipr->ijqr", cc, tc)  # (n_t, n_c, q, q)
+    return np.linalg.svd(cross, compute_uv=False).sum(axis=-1)
+
+
+def procrustes_distances_qq(targets, comparisons, scale_norm: str = "centered") -> np.ndarray:
+    """``metric.procrustes_distances`` through ``cross_product_nuclear_norms``:
+    every pair at q x q, every ordered pair on its own, all at once."""
+    targets = np.asarray(targets, dtype=float)
+    comparisons = np.asarray(comparisons, dtype=float)
+    tc = targets - targets.mean(axis=1, keepdims=True)
+    cc = comparisons - comparisons.mean(axis=1, keepdims=True)
+    t2 = np.einsum("ipq,ipq->i", tc, tc)
+    c2 = np.einsum("jpq,jpq->j", cc, cc)
+    s = cross_product_nuclear_norms(targets, comparisons)
+    norm2 = c2 if scale_norm == "centered" else np.einsum("jpq,jpq->j", comparisons, comparisons)
+    ok = (c2 > 1e-300) & (norm2 > 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = s / norm2[None, :]
+        d2 = t2[:, None] - 2.0 * theta * s + theta**2 * c2[None, :]
+        out = np.sqrt(np.maximum(d2, 0.0)) / np.sqrt(c2)[None, :]
+    out[:, ~ok] = np.inf
+    return out
 
 
 def procrustes_oracle_q2(target: np.ndarray, comparison: np.ndarray,

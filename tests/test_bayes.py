@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -277,6 +278,8 @@ def test_shared_store_equals_private_engines_bit_for_bit(monkeypatch):
     # library; the lead-1 pool is the wider one.  Through one store, in
     # either order, every chain and forecast equals the one a private
     # engine gives, and each (library, q, rows) matrix is built once.
+    # Procrustes training rows go in one call over their union with the
+    # pool; a forecast row, and any Euclidean build, against the widest pool.
     rng = np.random.default_rng(31)
     values = rng.normal(size=(2, 44))
     values[:, 10:14] = 0.7  # degenerate embeddings at +inf Procrustes distance
@@ -286,6 +289,8 @@ def test_shared_store_equals_private_engines_bit_for_bit(monkeypatch):
     indexes = {tau: build_training_index(lib, lib.first_valid, 41, tau) for tau in (1, 3)}
     width = indexes[1].candidates.size
     assert indexes[3].candidates.size < width
+    union = int(indexes[1].training_periods[-1]) - lib.first_valid + 1
+    assert union > width
     sampler = SamplerConfig(mq_proposal="uniform")
     priors = PriorConfig(m_max=6, q_max=4)
     for metric, gamma in _METRIC_CASES:
@@ -317,7 +322,8 @@ def test_shared_store_equals_private_engines_bit_for_bit(monkeypatch):
                 assert np.array_equal(chain.log_posts, want_chain.log_posts)
                 assert all(np.array_equal(a, b) for a, b in zip(means, want_means))
             assert len(builds) == len(set(builds)), (metric, gamma, order)
-            assert {b[2][0] for b in builds} == {width}
+            widths = {width} if metric == "euclidean" else {union, width}
+            assert {b[2][0] for b in builds} == widths
             monkeypatch.undo()
 
 
@@ -344,6 +350,24 @@ def test_distance_store_keys_by_content_and_keeps_one_library_per_role(monkeypat
     # A pool wider than the store is refused.
     with pytest.raises(ConfigError, match="column prefix"):
         AnalogEngine(lib_a, responses, index, store=DistanceStore(index.candidates.size - 1))
+
+
+def test_one_distance_build_peaks_below_8_mb():
+    # 124 training rows against a 123-entry pool at q = 24 and p = 12, the
+    # default run's largest build.  The whole (124, 123, 24, 24) cross
+    # tensor alone would take 70 MB.
+    rng = np.random.default_rng(15)
+    lib = build_library(identity_series(rng.normal(size=(12, 147))), 1, 24)
+    rows = np.arange(124)
+    store = DistanceStore(123)
+    tracemalloc.start()
+    try:
+        dist = store._matrix("main", lib, b"lib", rows, 24, "procrustes", "centered")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.shape == (124, 123)
+    assert peak < 8e6, peak
 
 
 def test_run_chain_mechanics_and_reproducibility():

@@ -3,13 +3,14 @@ import pytest
 
 from analogcast.errors import ConfigError, NumericError
 from analogcast.metric import (
+    _nuclear_norms,
     combined_distance,
     euclidean_distances,
     procrustes_distance,
     procrustes_distances,
 )
 
-from oracles import procrustes_oracle_q2
+from oracles import cross_product_nuclear_norms, procrustes_distances_qq, procrustes_oracle_q2
 
 
 def _euclid(a, b) -> float:
@@ -120,15 +121,46 @@ def test_procrustes_asymmetry_witness():
 
 
 def test_procrustes_batch_matches_scalar():
+    # (p, q) = (4, 3) uses the q x q cross product, (3, 5) the rank p - 1 factors.
     rng = np.random.default_rng(10)
-    targets = rng.normal(size=(5, 4, 3))
-    comps = rng.normal(size=(7, 4, 3))
-    for norm in ("centered", "raw"):
-        batch = procrustes_distances(targets, comps, scale_norm=norm)
-        for i in range(5):
-            for j in range(7):
-                d = procrustes_distance(targets[i], comps[j], scale_norm=norm).distance
-                assert abs(batch[i, j] - d) < 1e-10
+    for shape in ((4, 3), (3, 5)):
+        targets = rng.normal(size=(5, *shape))
+        comps = rng.normal(size=(7, *shape))
+        for norm in ("centered", "raw"):
+            batch = procrustes_distances(targets, comps, scale_norm=norm)
+            for i in range(5):
+                for j in range(7):
+                    d = procrustes_distance(targets[i], comps[j], scale_norm=norm).distance
+                    assert abs(batch[i, j] - d) < 1e-10
+
+
+def test_procrustes_matches_the_q_by_q_oracle():
+    # The package takes each pair's nuclear norm at rank min(p - 1, q) and,
+    # given one array twice, once per unordered pair; the oracle takes
+    # every ordered pair's full q x q cross product.  A centered self-pair's
+    # distance is the square root of a difference at rounding level, so
+    # it is held to an absolute bound instead.
+    rng = np.random.default_rng(14)
+    p = 6
+    for q in (p - 1, p, p + 3, 2 * p):
+        stack = rng.normal(size=(30, p, q))
+        stack[[4, 5, 17]] = 0.6  # constant embeddings: +inf columns
+        for norm in ("centered", "raw"):
+            for targets, comps in ((stack, stack), (stack[:11], stack.copy())):
+                got = procrustes_distances(targets, comps, scale_norm=norm)
+                want = procrustes_distances_qq(targets, comps, scale_norm=norm)
+                assert np.array_equal(np.isinf(got), np.isinf(want)), (q, norm)
+                finite = np.isfinite(want)
+                self_pair = np.eye(len(targets), len(comps), dtype=bool) & (norm == "centered")
+                assert (got[self_pair & finite] < 1e-6).all()
+                check = finite & ~self_pair
+                err = np.abs(got[check] - want[check])
+                assert (err <= 1e-12 * want[check]).all(), (q, norm, targets is comps)
+        centered = stack - stack.mean(axis=1, keepdims=True)
+        s = _nuclear_norms(centered, centered)
+        assert np.array_equal(s, s.T), q
+        want_s = cross_product_nuclear_norms(stack, stack)
+        assert (np.abs(s - want_s) <= 1e-12 * want_s).all(), q
 
 
 def test_column_prefix_of_a_batch_is_bit_identical():

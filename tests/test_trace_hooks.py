@@ -2,8 +2,9 @@
 
 ``perfbench/tracer.py`` wraps every public layer function and the two
 per-task entry points of ``pipeline``.  If a refactor renames one of them,
-or puts another public call between ``AnalogEngine.ssr`` and the distance
-build, those figures silently read 0; this test fails instead.
+or puts another public call between ``AnalogEngine.ssr`` or
+``AnalogEngine.predictive_mean`` and the distance build, those figures
+silently read 0; this test fails instead.
 """
 
 import importlib.util
@@ -47,5 +48,6 @@ def test_tracer_sees_every_hook_the_benchmark_reads(tmp_path):
         *(f"pipeline.stage_{stage}" for stage in stages),
     ):
         assert s.calls(name) >= 1, name
-    under_ssr, _ = s.children("bayes.AnalogEngine.ssr", "metric.procrustes_distances")
-    assert under_ssr >= 1
+    for engine_call in ("bayes.AnalogEngine.ssr", "bayes.AnalogEngine.predictive_mean"):
+        under, _ = s.children(engine_call, "metric.procrustes_distances")
+        assert under >= 1, engine_call

@@ -12,17 +12,17 @@ theta1, for m and q one of two proposals (a reflected +-1 step or a
 uniform draw over the prior range), and a reflected uniform gamma step.
 
 Distances never depend on theta1 or m.  A ``DistanceStore`` owns the raw
-(target x candidate) distance matrices: one per (library content, target
-rows, q, metric, scale norm), built on first use (embeddings at smaller q
-are column prefixes of the q_max library).  Its columns cover the widest
-candidate pool it serves, and each engine reads a column prefix, so every
-chain over the same forcing library shares every matrix.  A Procrustes
-matrix for the training rows is cut from one symmetric call over the
-union block (the library's entries up to the last training row, which
-hold every pool), so each unordered pair's SVD runs once.  The pipeline
-makes one store per stage and process; it keeps only the most recently
-used library of each role (main, and the combined metric's auxiliary
-side), and an engine built without a store makes its own.
+distance matrices, built on first use (embeddings at smaller q are column
+prefixes of the q_max library) and keyed by library content and an
+engine's training block, the library's entries through its last training
+period, which hold every training period and every pool.  Per (q, metric,
+scale norm) it holds one matrix within the block, whose Procrustes build
+computes each unordered pair once, and one per forecast row against it;
+each engine slices its own rows and pool, so chains over one library and
+one training span share every matrix.  The pipeline makes one store per
+part of a stage's tasks; it keeps only the most recently used library of
+each role (main, and the combined metric's auxiliary side), and an engine
+built without a store makes its own.
 
 ``AnalogEngine`` sorts each matrix once per q, or per (q, gamma) under the
 combined metric: the view keeps the squared distances and candidate
@@ -161,50 +161,44 @@ def _library_digest(lib: EmbeddingLibrary) -> bytes:
 
 
 class DistanceStore:
-    """Raw distance matrices shared by the engines of one stage.
+    """Raw distance matrices shared by the engines of one part of a stage.
 
-    A matrix holds the distances from some target rows of a library to its
-    first ``n_cols`` entries, the widest candidate pool the store serves;
-    every pool starts at the library's first entry, so an engine reads a
-    column prefix.  Procrustes distances from training rows are cut from
-    one symmetric call over the union block, the library's entries up to
-    the last row.  Every pool ends before the last training period, so the
-    block holds it, and the block depends only on the rows, so a shared
-    and a private store give the same bits.  A single (forecast) row is
-    measured against the pool alone.  A matrix is keyed by a digest of the
-    library's values and the target rows, never by (region, lead), so two
-    libraries that differ in any value never share a matrix.  Only the
-    most recently used library of each role ("main", "aux") keeps its
-    matrices.
+    A matrix is keyed by role ("main", or "aux" for the combined metric's
+    response side), a digest of the library's values, and (n_block, entry,
+    q, kind, scale norm), never by (region, lead), so libraries that differ
+    in any value never share a matrix.  The block is the library's first
+    ``n_block`` entries, through an engine's last training period; it holds
+    every training period and every pool, which starts at the first entry
+    and ends before that period.  ``entry`` None is the block against itself
+    (one call, so a Procrustes build computes each unordered pair once); an
+    integer ``entry`` is that one entry (a forecast row) against the block.
+    Engines slice their rows and pool from it, so a shared and a private
+    store give the same bits.  Only the most recently used library of each
+    role keeps its matrices.
     """
 
-    def __init__(self, n_cols: int):
-        self.n_cols = n_cols
+    def __init__(self):
         self._held: dict[str, tuple[bytes, dict]] = {}  # role -> (library digest, matrices)
 
     # Private, like `AnalogEngine._build_view`, so that a trace puts each
     # build under the engine call (``ssr`` or ``predictive_mean``) that
     # needed it.
     def _matrix(
-        self, role: str, lib: EmbeddingLibrary, digest: bytes, rows: np.ndarray,
-        q: int, metric: str, scale_norm: str,
+        self, role: str, lib: EmbeddingLibrary, digest: bytes, n_block: int,
+        entry: int | None, q: int, kind: str, scale_norm: str,
     ) -> np.ndarray:
         held, matrices = self._held.get(role, (None, None))
         if held != digest:
             matrices = {}
             self._held[role] = (digest, matrices)
-        key = (rows.tobytes(), q, metric, scale_norm)
+        key = (n_block, entry, q, kind, scale_norm)
         if key not in matrices:
-            targets = lib.stack[rows][:, :, :q]
-            comps = lib.stack[: self.n_cols, :, :q]
-            if metric == "euclidean":
-                matrices[key] = euclidean_distances(targets, comps)
-            elif rows.size == 1:  # a forecast row
-                matrices[key] = procrustes_distances(targets, comps, scale_norm=scale_norm)
-            else:  # training rows: the union block, each unordered pair once
-                union = lib.stack[: rows.max() + 1, :, :q]
-                dist = procrustes_distances(union, union, scale_norm=scale_norm)
-                matrices[key] = dist[rows][:, : self.n_cols]
+            block = lib.stack[:n_block, :, :q]
+            targets = block if entry is None else lib.stack[entry : entry + 1, :, :q]
+            if kind == "euclidean":
+                matrices[key] = euclidean_distances(targets, block)
+            else:
+                matrices[key] = procrustes_distances(targets, block, scale_norm=scale_norm)
         return matrices[key]
 
 
@@ -226,8 +220,8 @@ class AnalogEngine:
         Response-side embeddings for the combined distance, built with the
         same lag and q as ``lib``.
     m_max : int, optional
-        Largest m a state may ask for (default: the candidate pool size);
-        each sorted view keeps that many columns.
+        Largest m a state may ask for, at most the candidate pool size (the
+        default); each sorted view keeps that many columns.
     store : DistanceStore, optional
         Where the raw distance matrices live (default: a store of the
         engine's own).
@@ -259,14 +253,15 @@ class AnalogEngine:
                 raise DataError("auxiliary library covers a different time span")
         elif aux_lib is not None:
             raise ConfigError(f"metric {metric!r} does not use an auxiliary library")
+        n_cand = index.candidates.size
         if m_max is None:
-            m_max = index.candidates.size
-        if m_max < 1:
-            raise ConfigError(f"m_max must be >= 1, got {m_max}")
-        if store is None:
-            store = DistanceStore(index.candidates.size)
-        if index.candidates[0] != lib.first_valid or index.candidates.size > store.n_cols:
-            raise ConfigError("candidate pool is not a column prefix of the distance store")
+            m_max = n_cand
+        if not 1 <= m_max <= n_cand:
+            raise ConfigError(
+                f"m_max={m_max} must lie in [1, {n_cand}], the size of the candidate pool"
+            )
+        if index.candidates[0] != lib.first_valid:
+            raise ConfigError("candidate pool does not start at the library's first entry")
         self.lib = lib
         self.responses = responses
         self.index = index
@@ -280,7 +275,8 @@ class AnalogEngine:
         self._cand_resp_cols = index.candidates + index.tau - 1
         self._excl = index.exclusion_mask()
         self._train_rows = index.training_periods - lib.first_valid
-        self._store = store
+        self._n_block = int(self._train_rows[-1]) + 1
+        self._store = DistanceStore() if store is None else store
         self._libs = {  # role -> (library, digest of its values)
             role: (source, _library_digest(source))
             for role, source in (("main", lib), ("aux", aux_lib))
@@ -288,12 +284,14 @@ class AnalogEngine:
         }
         self._views: dict[tuple, tuple] = {}  # (q, gamma, t_initial) -> sorted view
 
-    def _distances(self, role: str, rows: np.ndarray, q: int) -> np.ndarray:
-        """Raw distances from ``rows`` of the role's library to this
-        engine's candidate pool, a column prefix of the store's matrix."""
+    def _distances(self, role: str, entry: int | None, q: int) -> np.ndarray:
+        """Raw distances to this engine's candidate pool from its training
+        periods (``entry`` None) or from one library entry, sliced from the
+        store's matrix over the engine's block."""
         kind = "euclidean" if self.metric == "euclidean" else "procrustes"
-        matrix = self._store._matrix(role, *self._libs[role], rows, q, kind, self.scale_norm)
-        return matrix[:, : self.index.candidates.size]
+        args = (*self._libs[role], self._n_block, entry, q, kind, self.scale_norm)
+        rows = self._train_rows if entry is None else [0]
+        return self._store._matrix(role, *args)[rows, : self.index.candidates.size]
 
     def _view(self, state: ModelState, t_initial: int | None) -> tuple:
         """Sorted view for the training periods (``t_initial`` None) or for
@@ -322,17 +320,17 @@ class AnalogEngine:
         if combined and state.gamma is None:
             raise ConfigError("combined metric needs gamma in the state")
         if t_initial is None:
-            rows, excl = self._train_rows, self._excl
+            entry, excl = None, self._excl
         else:
             lo, hi = self.lib.first_valid, self.lib.n_time
             if not lo <= t_initial <= hi:
                 raise ConfigError(
                     f"initial condition {t_initial} lies outside the embedded span [{lo}, {hi}]"
                 )
-            rows, excl = np.asarray([t_initial - lo]), None
-        dist = self._distances("main", rows, state.q)
+            entry, excl = t_initial - lo, None
+        dist = self._distances("main", entry, state.q)
         if combined:
-            dist = combined_distance(dist, self._distances("aux", rows, state.q), state.gamma)
+            dist = combined_distance(dist, self._distances("aux", entry, state.q), state.gamma)
         if excl is not None:
             dist = np.where(excl, np.inf, dist)
         cols, d2 = sort_candidates(dist, self.m_max)
@@ -664,20 +662,26 @@ def save_chain(chain: Chain, path: str, extra_meta: dict | None = None) -> None:
 
 def _chain_row(row: list[str]) -> tuple:
     return (
-        float(row[1]), int(row[2]), int(row[3]), float(row[4]),
+        int(row[0]), float(row[1]), int(row[2]), int(row[3]), float(row[4]),
         float(row[5]) if row[5] else math.nan, float(row[6]),
     )
 
 
 def load_chain(path: str) -> tuple[Chain, dict]:
-    """Read a chain CSV plus sidecar; returns (chain, sidecar metadata)."""
+    """Read a chain CSV plus sidecar; returns (chain, sidecar metadata).
+    A chain cut at a row boundary raises DataError."""
     meta = read_meta(path, burn_in=int)
     header, pairs = read_table(path)
     if header[:7] != _CHAIN_HEADER:
         raise DataError(f"{path}:1: unexpected chain header")
-    theta1, m, q, sigma2, gamma, log_posts = (
-        np.asarray(parse_rows(path, pairs, _chain_row), dtype=float).reshape(-1, 6).T.copy()
+    iters, theta1, m, q, sigma2, gamma, log_posts = (
+        np.asarray(parse_rows(path, pairs, _chain_row), dtype=float).reshape(-1, 7).T.copy()
     )
+    n = iters.size
+    if not np.array_equal(iters, np.arange(1, n + 1)):
+        raise DataError(f"{path}: the iter column is not 1..{n}")
+    if not 0 <= meta["burn_in"] < n:
+        raise DataError(f"{path}: burn_in={meta['burn_in']} must lie in [0, {n}), its row count")
     draws = {"theta1": theta1, "m": m.astype(int), "q": q.astype(int), "sigma2": sigma2}
     if not np.isnan(gamma).all():
         draws["gamma"] = gamma

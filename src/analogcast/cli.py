@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["BA1", "BA2", "BA3", "BA4"],
             help="override the model variant",
         )
-        p.add_argument("--jobs", type=int, help="worker processes (0 = all cores)")
+        p.add_argument("--jobs", type=int, help="worker processes (0 = one per usable CPU)")
         p.add_argument("--out", metavar="DIR", help="override the output directory")
     return parser
 

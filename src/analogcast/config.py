@@ -120,7 +120,7 @@ class RunConfig:
     synth_regions_y: int = 3
 
     # Execution.
-    jobs: int = 0  # 0 means one worker per CPU, capped by the task count
+    jobs: int = 0  # 0 means one worker per CPU this process may use, capped by the task count
     save_draws: bool = False
 
     def __post_init__(self):

@@ -95,12 +95,6 @@ class TrainingIndex:
         return diff <= self.exclusion_radius
 
 
-def candidate_pool_size(lag: int, q_max: int, t_end: int, tau: int) -> int:
-    """Size of the shared candidate pool, positions lag*(q_max - 1) + 1
-    through t_end - tau; it shrinks as the lead tau grows."""
-    return t_end - tau - lag * (q_max - 1)
-
-
 def build_training_index(
     lib: EmbeddingLibrary,
     t_start: int,
@@ -125,7 +119,7 @@ def build_training_index(
         raise ConfigError(
             f"t_end={t_end} + tau={tau} runs past the series end {lib.n_time}"
         )
-    n_cand = candidate_pool_size(lib.lag, lib.q, t_end, tau)
+    n_cand = t_end - tau - base_lo + 1  # positions base_lo through t_end - tau
     if n_cand < 1:
         raise ConfigError(
             f"no candidates: t_end - tau = {t_end - tau} is below {base_lo}"

@@ -18,14 +18,14 @@ file or none), and a missing, empty, cut-off or unparsable artifact raises
 ``DataError`` (CLI exit 3).  Each train and forecast stage loads its inputs
 once and hands them to every (region, lead) task; ``build_setup`` builds a
 task's ``AnalogEngine`` the same way for both, and the config hands out its
-prior and sampler settings.  Each process of a stage
-(the stage itself, or each pool worker with ``jobs`` > 1) makes one
-``DistanceStore`` that its tasks share and that ends with the stage.
-Tasks run region-major, so chains over one forcing library (every task
-under BA1 and BA4, the leads of a region under BA2) build each distance
-matrix once in a process.  Every store spans the stage's widest candidate
-pool, and all worker seeds are derived from (seed, stage, region, lead),
-so results do not depend on how tasks are scheduled across processes.
+prior and sampler settings.  Tasks run region-major, all in the stage's
+process with ``jobs`` 1, else in ``jobs`` contiguous parts, one pool worker
+each.  Each part makes one ``DistanceStore`` that its tasks share, so chains
+over one forcing library (every task under BA1 and BA4, the leads of a
+region under BA2) build each distance matrix once in a part.  A stored
+matrix depends only on the library and a task's training periods, and all
+seeds are derived from (seed, stage, region, lead), so results do not
+depend on how tasks are split across processes.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from .data import (
     to_anomalies,
     write_table,
 )
-from .embedding import build_library, build_training_index, candidate_pool_size
+from .embedding import build_library, build_training_index
 from .errors import ConfigError, DataError
 from .scores import ScoreCard, ScoreRow, score_forecasts
 
@@ -316,37 +316,31 @@ def _train_one(args: tuple, store: DistanceStore) -> str:
     return path
 
 
-_worker_store: DistanceStore | None = None  # a pool worker's store, set by _start_worker
-
-
-def _start_worker(n_cols: int) -> None:
-    global _worker_store
-    _worker_store = DistanceStore(n_cols)
-
-
-def _in_worker(worker, task):
-    return worker(task, _worker_store)
+def _run_part(worker, tasks: list) -> list:
+    """Run ``worker(task, store)`` on ``tasks`` in order, sharing one store."""
+    store = DistanceStore()
+    return [worker(task, store) for task in tasks]
 
 
 def _run_tasks(cfg: RunConfig, worker) -> list:
-    """Load the inputs once and run ``worker(task, store)`` on every
-    (region, lead) task, with one distance store per process."""
+    """Load the inputs once and run ``worker`` on every (region, lead)
+    task: in this process with one job, else in ``jobs`` contiguous parts
+    of the region-major task list, one worker process each."""
     prep = load_prepared(cfg)
     tasks = [
         (cfg, prep, region, lead)
         for region in range(1, prep.partition.n_regions + 1)
         for lead in cfg.leads
     ]
-    n_cols = candidate_pool_size(cfg.lag, cfg.q_max, prep.train_end, min(cfg.leads))
-    jobs = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
-    jobs = max(1, min(jobs, len(tasks)))
+    # jobs 0: the CPUs this process may run on, where the OS has affinity masks
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = max(1, min(cfg.jobs or cpus or 1, len(tasks)))
     if jobs == 1:
-        store = DistanceStore(n_cols)
-        return [worker(t, store) for t in tasks]
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_start_worker, initargs=(n_cols,)
-    ) as pool:
-        return list(pool.map(_in_worker, [worker] * len(tasks), tasks))
+        return _run_part(worker, tasks)
+    cuts = [-(-k * len(tasks) // jobs) for k in range(jobs + 1)]  # ceil: larger parts first
+    parts = [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return [out for part in pool.map(_run_part, [worker] * jobs, parts) for out in part]
 
 
 def stage_train(cfg: RunConfig) -> list[str]:
@@ -362,11 +356,16 @@ _SPATIAL_HEADER = ["target_time", "forecast_mean", "lo", "hi"]
 def _forecast_one(args: tuple, store: DistanceStore) -> str:
     cfg, prep, region, lead = args
     engine, phi = build_setup(cfg, prep, region, lead, store)
-    chain, meta = load_chain(path_chain(cfg, region, lead))
+    chain_path = path_chain(cfg, region, lead)
+    chain, meta = load_chain(chain_path)
     if meta.get("config_hash") != cfg.content_hash():
         raise ConfigError(
             f"chain for region {region} lead {lead} was trained under a different "
             "config (hash mismatch); re-run train"
+        )
+    if len(chain.log_posts) != cfg.iterations:
+        raise DataError(
+            f"{chain_path}: {len(chain.log_posts)} rows, but iterations={cfg.iterations}"
         )
     times = prep.response.times
     fds = [

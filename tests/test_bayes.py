@@ -36,7 +36,7 @@ from oracles import (
 )
 
 
-def _setup(seed=0, T=60, p_x=2, p_y=3, lag=1, q_max=4, tau=2):
+def _setup(seed=0, T=60, p_x=3, p_y=3, lag=1, q_max=4, tau=2):
     rng = np.random.default_rng(seed)
     forcing = identity_series(rng.normal(size=(p_x, T)))
     responses = identity_series(rng.normal(size=(p_y, T)))
@@ -141,9 +141,12 @@ _METRIC_CASES = [
 def _engine(metric, seed, T, radius=0, m_max=None):
     """Engine on random data with one constant forcing stretch, so the
     embedding at position 14 (and its column prefixes near it) is
-    degenerate and Procrustes puts it at infinite distance."""
+    degenerate and Procrustes puts it at infinite distance.  The forcing
+    has three rows: a centered 2-row embedding has rank 1, so any two
+    align up to rounding and their distances would order candidates by
+    noise."""
     rng = np.random.default_rng(seed)
-    values = rng.normal(size=(2, T))
+    values = rng.normal(size=(3, T))
     values[:, 10:14] = 0.7
     forcing = identity_series(values)
     responses = identity_series(rng.normal(size=(3, T)))
@@ -155,6 +158,12 @@ def _engine(metric, seed, T, radius=0, m_max=None):
 
 
 def test_engine_ssr_decomposes_over_training_periods():
+    # The data's Procrustes distances sit far above rounding, so the
+    # candidates are ranked by shape, not by noise.
+    _, lib, _, index = _engine("procrustes", seed=5, T=40)
+    for q in range(1, lib.q + 1):
+        dist = full_distances(ModelState(theta1=1.0, m=1, q=q, sigma2=1.0), lib, index)
+        assert np.median(dist[np.isfinite(dist)]) > 0.1, q
     for metric, gamma in _METRIC_CASES:
         eng, lib, responses, index = _engine(metric, seed=5, T=40)
         mask = index.exclusion_mask()
@@ -227,6 +236,13 @@ def test_sorted_views_match_the_full_sort_oracle_bit_for_bit():
 
 
 def test_engine_cache_bounds():
+    # An m_max above the candidate pool would make every larger m the
+    # whole pool, a flat stretch of the m prior.
+    _, lib, responses, index = _engine("procrustes", 23, 40)
+    n_cand = index.candidates.size
+    assert AnalogEngine(lib, responses, index, m_max=n_cand).m_max == n_cand
+    with pytest.raises(ConfigError, match=f"m_max={n_cand + 1} .*{n_cand}"):
+        AnalogEngine(lib, responses, index, m_max=n_cand + 1)
     eng, lib, responses, index = _engine("procrustes", 23, 40, m_max=5)
     state = ModelState(theta1=0.8, m=5, q=3, sigma2=1.0)
     eng.ssr(state)
@@ -277,11 +293,11 @@ def test_shared_store_equals_private_engines_bit_for_bit(monkeypatch):
     # Chains at two leads share the training periods and the forcing
     # library; the lead-1 pool is the wider one.  Through one store, in
     # either order, every chain and forecast equals the one a private
-    # engine gives, and each (library, q, rows) matrix is built once.
-    # Procrustes training rows go in one call over their union with the
-    # pool; a forecast row, and any Euclidean build, against the widest pool.
+    # engine gives, and each (library, q, entry) matrix is built once.
+    # Every build, training rows or a forecast row, for every metric, is
+    # against the block of entries through the last training period.
     rng = np.random.default_rng(31)
-    values = rng.normal(size=(2, 44))
+    values = rng.normal(size=(3, 44))
     values[:, 10:14] = 0.7  # degenerate embeddings at +inf Procrustes distance
     forcing = identity_series(values)
     responses = identity_series(rng.normal(size=(3, 44)))
@@ -313,7 +329,7 @@ def test_shared_store_equals_private_engines_bit_for_bit(monkeypatch):
         private = {tau: chains_and_means(tau) for tau in (1, 3)}
         for order in ((3, 1), (1, 3)):
             builds = _count_builds(monkeypatch)
-            store = DistanceStore(width)
+            store = DistanceStore()
             for tau in order:
                 chain, means = chains_and_means(tau, store)
                 want_chain, want_means = private[tau]
@@ -322,8 +338,7 @@ def test_shared_store_equals_private_engines_bit_for_bit(monkeypatch):
                 assert np.array_equal(chain.log_posts, want_chain.log_posts)
                 assert all(np.array_equal(a, b) for a, b in zip(means, want_means))
             assert len(builds) == len(set(builds)), (metric, gamma, order)
-            widths = {width} if metric == "euclidean" else {union, width}
-            assert {b[2][0] for b in builds} == widths
+            assert {b[2][0] for b in builds} == {union}
             monkeypatch.undo()
 
 
@@ -337,7 +352,7 @@ def test_distance_store_keys_by_content_and_keeps_one_library_per_role(monkeypat
         for name, lib in (("a", lib_a), ("b", lib_b))
     }
     builds = _count_builds(monkeypatch)
-    store = DistanceStore(index.candidates.size)
+    store = DistanceStore()
     for name, lib, built in (("a", lib_a, 1), ("a", copy_a, 1), ("b", lib_b, 2), ("a", lib_a, 3)):
         assert AnalogEngine(lib, responses, index, store=store).ssr(state) == want[name]
         assert len(builds) == built, name  # an equal copy hits; a new library evicts the old
@@ -347,26 +362,26 @@ def test_distance_store_keys_by_content_and_keeps_one_library_per_role(monkeypat
     eng = AnalogEngine(lib_a, responses, index, "combined", aux_lib=aux_lib, store=store)
     eng.ssr(replace(state, gamma=0.5))
     assert set(store._held) == {"main", "aux"} and len(builds) == 4
-    # A pool wider than the store is refused.
-    with pytest.raises(ConfigError, match="column prefix"):
-        AnalogEngine(lib_a, responses, index, store=DistanceStore(index.candidates.size - 1))
+    # A pool that does not start at the library's first entry is refused.
+    late = replace(index, candidates=index.candidates[1:])
+    with pytest.raises(ConfigError, match="first entry"):
+        AnalogEngine(lib_a, responses, late, store=store)
 
 
 def test_one_distance_build_peaks_below_8_mb():
-    # 124 training rows against a 123-entry pool at q = 24 and p = 12, the
-    # default run's largest build.  The whole (124, 123, 24, 24) cross
+    # The 124-entry training block against itself at q = 24 and p = 12, the
+    # default run's largest build.  The whole (124, 124, 24, 24) cross
     # tensor alone would take 70 MB.
     rng = np.random.default_rng(15)
     lib = build_library(identity_series(rng.normal(size=(12, 147))), 1, 24)
-    rows = np.arange(124)
-    store = DistanceStore(123)
+    store = DistanceStore()
     tracemalloc.start()
     try:
-        dist = store._matrix("main", lib, b"lib", rows, 24, "procrustes", "centered")
+        dist = store._matrix("main", lib, b"lib", 124, None, 24, "procrustes", "centered")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dist.shape == (124, 123)
+    assert dist.shape == (124, 124)
     assert peak < 8e6, peak
 
 

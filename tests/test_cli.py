@@ -123,23 +123,52 @@ def test_same_seed_reruns_are_byte_identical(tmp_path):
 
 
 def test_jobs_do_not_change_outputs(tmp_path):
-    # Each process shares distances among its own tasks, so with two jobs
-    # the chains see other sharing than with one; the files must not change.
-    trees = []
-    for jobs in (1, 2):
+    # Each part of the task list shares distances among its own tasks, so
+    # each job count gives other sharing; the files and the paths the
+    # stages return, in task order, must not change.  Three jobs split the
+    # four tasks into parts of 2, 1 and 1.
+    trees, written = [], []
+    for jobs in (1, 2, 3):
         (tmp_path / str(jobs)).mkdir()
         cfg_path = _write_config(
             tmp_path / str(jobs), jobs=jobs, synth_regions_x=2, leads=[1, 3], iterations=40
         )
-        _run_all(cfg_path)
+        _run_all(cfg_path, stages=("synth", "basis"))
+        cfg = RunConfig.load(cfg_path)
         out = tmp_path / str(jobs) / "out"
+        written.append([
+            os.path.relpath(path, out)
+            for stage in (pipeline.stage_train, pipeline.stage_forecast)
+            for path in stage(cfg)
+        ])
+        _run_all(cfg_path, stages=("evaluate", "compare"))
         trees.append({
             str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
         })
-    one, two = trees
+    tasks = [(region, lead) for region in (1, 2) for lead in (1, 3)]
+    assert written[0] == (
+        [os.path.join("chains", f"chain_r{r}_l{lead}.csv") for r, lead in tasks]
+        + [os.path.join("forecasts", f"fc_r{r}_l{lead}.csv") for r, lead in tasks]
+    )
     for rel in ("chains/chain_r2_l3.csv", "forecasts/fc_r2_l3.csv", "scorecard.csv"):
-        assert rel in one
-    assert one == two
+        assert rel in trees[0]
+    assert written[1] == written[0] and written[2] == written[0]
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+
+
+def test_jobs_0_counts_the_cpus_this_process_may_use(tmp_path, monkeypatch):
+    # A host with 64 CPUs, of which this process may run on one: a
+    # two-task stage must run here, without a worker pool.
+    cfg_path = _write_config(tmp_path, jobs=0, leads=[1, 2])
+    _run_all(cfg_path, stages=("synth", "basis"))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+    assert len(pipeline.stage_train(RunConfig.load(cfg_path))) == 2
 
 
 def test_stale_chain_hash_blocks_forecast(tmp_path, capsys):
@@ -217,6 +246,26 @@ def test_malformed_artifact_exits_3(tmp_path, capsys, forecast_run, stage, rel, 
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cut", ["no rows", "burn-in rows", "a third", "a middle row dropped"])
+def test_chain_cut_at_a_row_boundary_exits_3(tmp_path, capsys, forecast_run, cut):
+    # Every row parses, so only the row count and the iter column show
+    # that the chain is incomplete.
+    shutil.copytree(forecast_run, tmp_path / "out")
+    cfg_path = _write_config(tmp_path)
+    path = tmp_path / "out" / "chains" / "chain_r1_l1.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    assert len(rows) == _TINY["iterations"]
+    rows = {
+        "no rows": [],
+        "burn-in rows": rows[: _TINY["burn_in"]],
+        "a third": rows[:20],
+        "a middle row dropped": rows[:30] + rows[31:],
+    }[cut]
+    path.write_text(header + "".join(rows))
+    assert main(["forecast", "--config", cfg_path]) == 3
+    assert str(path) in capsys.readouterr().err
+
+
 def test_evaluate_refuses_a_spatial_band_for_other_targets(tmp_path, capsys, forecast_run):
     # Well-formed rows whose target times are not the forecast file's.
     shutil.copytree(forecast_run, tmp_path / "out")
@@ -267,6 +316,18 @@ def test_bad_prior_sampler_or_metric_key_exits_2_before_train(tmp_path, capsys, 
     _run_all(_write_config(tmp_path), stages=("synth",))
     assert main(["basis", "--config", _write_config(tmp_path, "bad.json", **bad)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_m_max_above_the_candidate_pool_exits_2(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path)
+    _run_all(cfg_path, stages=("synth", "basis"))
+    cfg = RunConfig.load(cfg_path)
+    # The lead-1 pool: positions lag*(q_max - 1) + 1 through train_end - 1.
+    pool = pipeline.load_prepared(cfg).train_end - 1 - cfg.lag * (cfg.q_max - 1)
+    assert cfg.m_max < pool
+    bad = _write_config(tmp_path, "bad.json", m_max=pool + 1)
+    assert main(["train", "--config", bad]) == 2
+    assert f"m_max={pool + 1} must lie in [1, {pool}]" in capsys.readouterr().err
 
 
 def test_basis_refuses_a_basis_that_train_would_refuse(tmp_path, capsys):
